@@ -278,22 +278,45 @@ func BenchmarkEstimateSocialCost(b *testing.B) {
 }
 
 // BenchmarkDeviationBatch1024Parallel measures intra-step parallel
-// deviation-batch construction: the n−1 rest SSSPs of one oracle-call
-// batch, sequential vs fanned across a pool (byte-identical rows).
+// deviation-batch construction: the n−1 rest rows of one oracle-call
+// batch, sequential vs fanned across a pool (byte-identical rows). The
+// random q = 0.2 profile is dense, so its rows settle one bitset BFS
+// per source.
 func BenchmarkDeviationBatch1024Parallel(b *testing.B) {
+	ev, p := uniformSetup(b, 1024, 4)
+	benchDeviationBatchPool(b, ev, p)
+}
+
+// BenchmarkDeviationBatch1024ParallelStar is the sparse counterpart:
+// the star's rest rows settle 64 sources per msbfsChunk call, and the
+// pool's workers claim 64-source chunks.
+func BenchmarkDeviationBatch1024ParallelStar(b *testing.B) {
+	ev, _ := uniformSetup(b, 1024, 4)
+	p, err := core.StarProfile(1024)
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchDeviationBatchPool(b, ev, p)
+}
+
+// benchDeviationBatchPool times NewDeviationBatch on p sequentially
+// ("seq") and with an all-cores pool attached ("pool").
+func benchDeviationBatchPool(b *testing.B, ev *core.Evaluator, p core.Profile) {
+	n := p.N()
 	for _, workers := range []int{1, 0} {
 		name := "seq"
 		if workers == 0 {
 			name = "pool"
 		}
 		b.Run(name, func(b *testing.B) {
-			ev, p := uniformSetup(b, 1024, 4)
+			ev := ev.Clone()
 			if workers == 0 {
 				ev.AttachPool(core.NewPool(ev.Instance(), 0))
 			}
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if batch := ev.NewDeviationBatch(p, i%1024); batch == nil {
+				if batch := ev.NewDeviationBatch(p, i%n); batch == nil {
 					b.Fatal("batch unsupported")
 				}
 			}

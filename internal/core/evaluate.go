@@ -311,9 +311,9 @@ type Evaluator struct {
 	// Banded / multi-source BFS scratch (see msbfs.go): per-vertex
 	// source masks, frontier lists and band row storage.
 	ms msScratch
-	// pool, when attached, fans the rest-row SSSPs of NewDeviationBatch
-	// (and BatchCache dirty-row settles) across evaluator clones. See
-	// AttachPool.
+	// pool, when attached, fans the rest-row settles of
+	// NewDeviationBatch (and BatchCache dirty-row settles) across
+	// evaluator clones. See AttachPool.
 	pool *Pool
 	// Scratch for collecting rest-row source lists (deviation.go).
 	srcScratch []int32
@@ -353,9 +353,9 @@ func NewEvaluator(inst *Instance) *Evaluator {
 func (ev *Evaluator) Clone() *Evaluator { return NewEvaluator(ev.inst) }
 
 // AttachPool hands the evaluator a worker pool for intra-call
-// parallelism: while attached, NewDeviationBatch fans its n−1 rest-row
-// SSSPs (and the BatchCache its dirty-row re-settles) across the pool's
-// evaluator clones. Per-source rows are written to disjoint slots
+// parallelism: while attached, NewDeviationBatch fans its n−1 rest rows
+// (and the BatchCache its dirty-row re-settles) across the pool's
+// evaluator clones, one source or one 64-source chunk per claim. Per-source rows are written to disjoint slots
 // indexed by source, so results are byte-identical at any width — the
 // same ordered-reduce convention as Pool's all-pairs methods. Pass nil
 // to detach. The pool must be bound to the same instance. An attached

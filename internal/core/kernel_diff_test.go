@@ -11,6 +11,7 @@ package core
 // ("heap") twins on the same space, exactly, with no tolerance.
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -529,6 +530,154 @@ func TestParallelRestRowsByteIdentical(t *testing.T) {
 	}
 }
 
+// restRowsIdentical requires two batches' rest rows to be equal entry
+// by entry with ==, nil rows included.
+func restRowsIdentical(t *testing.T, stage string, got, want *DeviationBatch) {
+	t.Helper()
+	if got == nil || want == nil {
+		t.Fatalf("%s: batch unsupported", stage)
+	}
+	for k := range want.rest {
+		if (got.rest[k] == nil) != (want.rest[k] == nil) {
+			t.Fatalf("%s: row %d: nil mismatch", stage, k)
+		}
+		for j, w := range want.rest[k] {
+			if g := got.rest[k][j]; g != w {
+				t.Fatalf("%s: row %d: d[%d]=%v, heap d[%d]=%v", stage, k, j, g, j, w)
+			}
+		}
+	}
+}
+
+// TestRestRowsMatchHeapKernel checks the one rest-row settle path
+// against an independent kernel: on a uniform metric the rows come from
+// msbfsChunk on sparse overlays and the bitset BFS on dense ones, and
+// both must equal a heap-pinned twin's exactly. It covers both sides of
+// restRowsMultiSource (a star, a sparse profile that leaves +Inf rows,
+// a dense profile), n on both sides of the 64-source word, skip peers in
+// the first and the last chunk, pool widths 1, 2 and 4, and the fresh
+// build as well as the BatchCache settle and re-settle.
+func TestRestRowsMatchHeapKernel(t *testing.T) {
+	r := rng.New(53)
+	for _, n := range []int{63, 64, 65, 130} {
+		star, err := StarProfile(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pc := range []struct {
+			name    string
+			p       Profile
+			q       float64 // link probability of the moves on the cache path
+			multi   bool    // the side of restRowsMultiSource the profile is on
+			infRows bool    // some fresh rest row holds +Inf
+		}{
+			{"star", star, 0.02, true, true}, // skip 0 cuts the center off
+			{"sparse-disconnected", randomDiffProfile(r, n, 0.02), 0.02, true, true},
+			{"dense", randomDiffProfile(r, n, 0.3), 0.3, false, false},
+		} {
+			for _, workers := range []int{1, 2, 4} {
+				t.Run(fmt.Sprintf("n%d/%s/w%d", n, pc.name, workers), func(t *testing.T) {
+					auto, heap := twinInstances(t, r, diffCase{n: n, space: "unit"})
+					evA, evH := NewEvaluator(auto), NewEvaluator(heap)
+					evA.AttachPool(NewPool(auto, workers))
+					skips := []int{0, n - 1}
+					inf := false
+					for _, skip := range skips {
+						if got := restRowsMultiSource(n, pc.p.LinkCount()-pc.p.OutDegree(skip)); got != pc.multi {
+							t.Fatalf("skip %d: multi-source %v, want %v", skip, got, pc.multi)
+						}
+						bH := evH.NewDeviationBatch(pc.p, skip)
+						for _, row := range bH.rest {
+							for _, v := range row {
+								inf = inf || math.IsInf(v, 1)
+							}
+						}
+						restRowsIdentical(t, fmt.Sprintf("fresh skip %d", skip), evA.NewDeviationBatch(pc.p, skip), bH)
+					}
+					if inf != pc.infRows {
+						t.Fatalf("+Inf rest entries %v, want %v", inf, pc.infRows)
+					}
+
+					dyA, err := NewDynEval(evA, pc.p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer dyA.Close()
+					dyH, err := NewDynEval(evH, pc.p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer dyH.Close()
+					moves := rng.New(r.Uint64())
+					for move := 0; move < 4; move++ {
+						for _, skip := range skips {
+							restRowsIdentical(t, fmt.Sprintf("cache move %d skip %d", move, skip),
+								evA.NewDeviationBatch(dyA.Profile(), skip), evH.NewDeviationBatch(dyH.Profile(), skip))
+						}
+						mover := 1 + moves.Intn(n-2)
+						alt := randomStrategy(moves, n, mover, pc.q)
+						if _, err := dyA.Apply(mover, alt); err != nil {
+							t.Fatal(err)
+						}
+						if _, err := dyH.Apply(mover, alt); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if st := dyA.cache.Stats(); st.RowsSettled <= 2*(n-1) {
+						t.Fatalf("cache settled %d rows, want re-settles past the first builds", st.RowsSettled)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestRestRowsScratchNoAliasing interleaves multi-source rest-row
+// settles with banded folds on one evaluator, in both orders, and
+// requires every result to equal a fresh evaluator's: the chunk's row
+// pointers share no scratch with the band rows.
+func TestRestRowsScratchNoAliasing(t *testing.T) {
+	const n, skip = 130, 1
+	inst := buildDiffInstance(t, rng.New(59), diffCase{n: n, space: "unit"})
+	p := randomDiffProfile(rng.New(61), n, 0.03)
+	if !restRowsMultiSource(n, p.LinkCount()-p.OutDegree(skip)) {
+		t.Fatal("profile does not take the multi-source kernel")
+	}
+	wantBatch := NewEvaluator(inst).NewDeviationBatch(p, skip)
+	wantBand := map[int]Cost{}
+	for _, band := range []int{3, 200} {
+		c, err := NewEvaluator(inst).SocialCostBanded(p, band)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantBand[band] = c
+	}
+	batch := func(ev *Evaluator, stage string) {
+		t.Helper()
+		restRowsIdentical(t, stage, ev.NewDeviationBatch(p, skip), wantBatch)
+	}
+	banded := func(ev *Evaluator, band int) {
+		t.Helper()
+		got, err := ev.SocialCostBanded(p, band)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != wantBand[band] {
+			t.Fatalf("band %d: %+v, fresh %+v", band, got, wantBand[band])
+		}
+	}
+	ev := NewEvaluator(inst)
+	batch(ev, "batch first")
+	banded(ev, 3)
+	banded(ev, 200)
+	batch(ev, "batch after bands")
+	ev = NewEvaluator(inst)
+	banded(ev, 3)
+	banded(ev, 200)
+	batch(ev, "batch after bands, bands first")
+	banded(ev, 3)
+}
+
 // TestZeroAllocKernelHotPaths pins the arena contract: once warmed up,
 // the social-cost sweep and the deviation-batch build allocate nothing,
 // on every kernel.
@@ -552,6 +701,32 @@ func TestZeroAllocKernelHotPaths(t *testing.T) {
 			}
 			if avg := testing.AllocsPerRun(10, func() {
 				if b := ev.NewDeviationBatch(p, 2); b == nil {
+					t.Fatal("batch unsupported")
+				}
+			}); avg != 0 {
+				t.Errorf("NewDeviationBatch allocates %v per run, want 0", avg)
+			}
+		})
+	}
+	// A sparse star settles its rest rows on the multi-source kernel;
+	// 130 peers make three 64-source chunks, so the pooled build really
+	// fans out.
+	star, err := StarProfile(130)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst := buildDiffInstance(t, r, diffCase{n: 130, space: "unit"})
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("msbfs-star/w%d", workers), func(t *testing.T) {
+			ev := NewEvaluator(inst)
+			if workers > 1 {
+				ev.AttachPool(NewPool(inst, workers))
+			}
+			if b := ev.NewDeviationBatch(star, 1); b == nil { // warm the arenas
+				t.Fatal("batch unsupported")
+			}
+			if avg := testing.AllocsPerRun(10, func() {
+				if b := ev.NewDeviationBatch(star, 2); b == nil {
 					t.Fatal("batch unsupported")
 				}
 			}); avg != 0 {

@@ -23,6 +23,11 @@ import (
 // assigned from the same hopDist left-fold replay table, so every row
 // is bit-identical to bfsUnitSSSP — and hence to heap Dijkstra.
 //
+// Besides the bands, msbfsChunk feeds the streamed single-source evals
+// and the deviation-batch rest rows of sparse overlays
+// (settleRestRows in deviation.go picks it over the per-source bitset
+// BFS by arc count, 64 sources per call).
+//
 // Determinism conventions (shared with the rest of the core):
 //   - rows are produced and folded in global source order 0..n-1, the
 //     same left-fold the slab path uses, at every band width;
@@ -31,7 +36,7 @@ import (
 //   - therefore SocialCostBanded == SocialCost bit for bit, for any
 //     band ≥ 1, any kernel, directed or undirected.
 
-// msScratch is the reusable scratch of the banded/streamed paths: the
+// msScratch is the reusable scratch of msbfsChunk's callers: the
 // per-vertex source masks and frontier lists of msbfsChunk plus the
 // band row storage. Owned by an Evaluator, so steady-state banded
 // evaluation allocates nothing.
@@ -42,6 +47,10 @@ type msScratch struct {
 	bandRows             [][]float64
 	srcs                 []int32
 	oneRow               [][]float64
+	// chunkRows holds the row pointers of one rest-row chunk
+	// (settleChunk). It is its own array, not a view of bandRows, which
+	// SSSPBands re-slices only when it grows bandBuf.
+	chunkRows [64][]float64
 }
 
 // ensure sizes the per-vertex scratch for n peers. front, next and

@@ -10,6 +10,7 @@ package core
 // matrix.
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -272,6 +273,66 @@ func TestUnitSpaceSelfClassification(t *testing.T) {
 	for _, bad := range []float64{0, -1, math.Inf(1), math.NaN()} {
 		if _, err := metric.UniformUnit(4, bad); err == nil {
 			t.Errorf("UniformUnit(4, %v): expected error", bad)
+		}
+	}
+}
+
+// BenchmarkRestRowsKernel settles every rest row of one deviation batch
+// with each BFS kernel forced, across overlay densities on both sides
+// of the restRowsMultiSource crossover: the star and random profiles of
+// link probability q (m ≈ q·n²). It is the measurement behind the
+// dispatch constant; the table lives in PERFORMANCE.md.
+func BenchmarkRestRowsKernel(b *testing.B) {
+	for _, n := range []int{256, 1024} {
+		space, err := metric.UniformImplicit(n)
+		if err != nil {
+			b.Fatal(err)
+		}
+		inst, err := NewInstance(space, 4)
+		if err != nil {
+			b.Fatal(err)
+		}
+		star, err := StarProfile(n)
+		if err != nil {
+			b.Fatal(err)
+		}
+		profiles := []struct {
+			name string
+			p    Profile
+		}{{"star", star}}
+		for _, q := range []float64{0.01, 0.03, 0.05, 0.0625, 0.1, 0.3} {
+			profiles = append(profiles, struct {
+				name string
+				p    Profile
+			}{fmt.Sprintf("q%g", q), randomDiffProfile(rng.New(42), n, q)})
+		}
+		const skip = 1
+		srcs := make([]int32, 0, n-1)
+		dst := make([][]float64, n)
+		for k := 0; k < n; k++ {
+			if k != skip {
+				srcs = append(srcs, int32(k))
+				dst[k] = make([]float64, n)
+			}
+		}
+		for _, pc := range profiles {
+			for _, multi := range []bool{false, true} {
+				name := fmt.Sprintf("n%d/%s/bitset", n, pc.name)
+				chunk := 1
+				if multi {
+					name = fmt.Sprintf("n%d/%s/msbfs", n, pc.name)
+					chunk = 64
+				}
+				b.Run(name, func(b *testing.B) {
+					ev := NewEvaluator(inst)
+					for it := 0; it < b.N; it++ {
+						ev.prepareRest(pc.p, skip, multi)
+						for lo := 0; lo < len(srcs); lo += chunk {
+							ev.settleChunk(srcs[lo:min(lo+chunk, len(srcs))], dst, multi)
+						}
+					}
+				})
+			}
 		}
 	}
 }

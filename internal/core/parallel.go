@@ -19,6 +19,11 @@ import (
 // mutated while a Pool method runs.
 type Pool struct {
 	evs []*Evaluator
+	// rest and restWorkers back fanRestRows: the job state, and one
+	// pre-built closure per evaluator so starting a worker allocates no
+	// closure.
+	rest        restJob
+	restWorkers []func()
 }
 
 // NewPool creates a pool of `workers` evaluators over the instance.
@@ -30,11 +35,13 @@ func NewPool(inst *Instance, workers int) *Pool {
 	if n := inst.N(); workers > n {
 		workers = n
 	}
-	evs := make([]*Evaluator, workers)
-	for i := range evs {
-		evs[i] = NewEvaluator(inst)
+	pl := &Pool{evs: make([]*Evaluator, workers), restWorkers: make([]func(), workers)}
+	for i := range pl.evs {
+		ev := NewEvaluator(inst)
+		pl.evs[i] = ev
+		pl.restWorkers[i] = func() { pl.restWorker(ev) }
 	}
-	return &Pool{evs: evs}
+	return pl
 }
 
 // Workers returns the pool's concurrency width.
@@ -87,44 +94,55 @@ func (pl *Pool) forEachSource(p Profile, stop func() bool, fn func(ev *Evaluator
 	wg.Wait()
 }
 
-// settleRestRows fills dst[src], for every src in srcs, with the SSSP
-// distances from src over profile p with peer skip's strategy emptied —
-// the "graph minus the deviating peer" rows behind DeviationBatch and
-// the BatchCache. Each worker prepares its own adjacency and claims
-// sources from a shared counter; every row lands in the slot indexed by
-// its source, so the result is byte-identical at any worker count (the
-// ordered-reduce convention).
-func (pl *Pool) settleRestRows(p Profile, skip int, srcs []int32, dst [][]float64) {
-	if len(pl.evs) == 1 || len(srcs) == 1 {
-		ev := pl.evs[0]
-		ev.prepare(p, skip, Strategy{})
-		for _, k := range srcs {
-			copy(dst[k], ev.ssspFrom(int(k)))
+// restJob is the in-flight fan-out of Evaluator.settleRestRows. It
+// lives in the pool, and the workers start through closures built once
+// by NewPool, so a fan-out allocates nothing in steady state.
+type restJob struct {
+	p      Profile
+	skip   int
+	srcs   []int32
+	dst    [][]float64
+	multi  bool
+	chunk  int
+	chunks int
+	next   atomic.Int64
+	wg     sync.WaitGroup
+}
+
+// fanRestRows settles the rest rows of srcs into dst across the pool:
+// each started worker prepares G−skip once and claims chunks of srcs
+// from a shared counter. No more workers start than there are chunks.
+func (pl *Pool) fanRestRows(p Profile, skip int, srcs []int32, dst [][]float64, multi bool, chunk, chunks int) {
+	j := &pl.rest
+	j.p, j.skip, j.srcs, j.dst = p, skip, srcs, dst
+	j.multi, j.chunk, j.chunks = multi, chunk, chunks
+	j.next.Store(0)
+	workers := min(len(pl.restWorkers), chunks)
+	j.wg.Add(workers)
+	for _, run := range pl.restWorkers[:workers] {
+		go run()
+	}
+	j.wg.Wait()
+	j.p, j.srcs, j.dst = Profile{}, nil, nil
+}
+
+// restWorker is one worker's loop of fanRestRows on evaluator ev.
+func (pl *Pool) restWorker(ev *Evaluator) {
+	j := &pl.rest
+	defer j.wg.Done()
+	prepared := false
+	for {
+		c := int(j.next.Add(1)) - 1
+		if c >= j.chunks {
+			return
 		}
-		return
+		if !prepared {
+			ev.prepareRest(j.p, j.skip, j.multi)
+			prepared = true
+		}
+		lo := c * j.chunk
+		ev.settleChunk(j.srcs[lo:min(lo+j.chunk, len(j.srcs))], j.dst, j.multi)
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for _, ev := range pl.evs {
-		wg.Add(1)
-		go func(ev *Evaluator) {
-			defer wg.Done()
-			prepared := false
-			for {
-				idx := int(next.Add(1)) - 1
-				if idx >= len(srcs) {
-					return
-				}
-				if !prepared {
-					ev.prepare(p, skip, Strategy{})
-					prepared = true
-				}
-				k := srcs[idx]
-				copy(dst[k], ev.ssspFrom(int(k)))
-			}
-		}(ev)
-	}
-	wg.Wait()
 }
 
 // PeerEvals returns every peer's enriched cost under p, in peer order.

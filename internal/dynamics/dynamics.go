@@ -341,8 +341,9 @@ func RunContext(ctx context.Context, ev *core.Evaluator, start core.Profile, cfg
 
 // BatchParallelMinPeers is the default size threshold for intra-step
 // parallel deviation-batch construction (Config.BatchWorkers = 0): a
-// batch build is n−1 independent SSSPs, and below a few hundred peers
-// the fan-out overhead eats what the extra cores win. The switch is
+// batch build settles n−1 independent rest rows — one SSSP each, or
+// 64-source msbfs chunks on sparse uniform overlays — and below a few
+// hundred peers the fan-out overhead eats what the extra cores win. The switch is
 // purely a performance heuristic — rows are reduced in source order,
 // so results are byte-identical at any width.
 const BatchParallelMinPeers = 256
