@@ -198,11 +198,11 @@ func BenchmarkSocialCostDial256(b *testing.B) {
 // overwrite earlier entries; the scaling claim is the trajectory.
 
 // BenchmarkSocialCostBanded evaluates the exact all-pairs social cost
-// through the banded multi-source BFS (64 source rows resident, bit-
-// identical to the slab fold) across the n-scaling curve. The n=65536
-// point is the certify acceptance workload: 2³² pair terms, no dense
-// matrix. Compare the n=1024 point with BenchmarkSocialCost1024 (the
-// slab path) to see the banded overhead at slab-feasible sizes.
+// of the star through the banded multi-source BFS (64 source rows
+// resident, bit-identical to a per-source fold) across the n-scaling
+// curve. The n=65536 point is the certify acceptance workload: 2³² pair
+// terms, no dense matrix. BenchmarkSocialCost1024 is the same fold on a
+// dense profile, the per-source bitset side of the kernel rule.
 func BenchmarkSocialCostBanded(b *testing.B) {
 	for _, n := range []int{1024, 4096, 16384, 65536} {
 		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
@@ -324,12 +324,14 @@ func benchDeviationBatchPool(b *testing.B, ev *core.Evaluator, p core.Profile) {
 	}
 }
 
+// BenchmarkSocialCostPool64 is BenchmarkSocialCost64 with an all-cores
+// pool attached: the band's per-source rows fan across its workers.
 func BenchmarkSocialCostPool64(b *testing.B) {
 	ev, p := randomSetup(b, 64, 4)
-	pool := core.NewPool(ev.Instance(), 0) // all cores
+	ev.AttachPool(core.NewPool(ev.Instance(), 0))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = pool.SocialCost(p)
+		_ = ev.SocialCost(p)
 	}
 }
 

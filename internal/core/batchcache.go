@@ -261,7 +261,7 @@ func (c *BatchCache) batchFor(ev *Evaluator, p Profile, i int) *DeviationBatch {
 		ev.srcScratch = srcs
 		if len(srcs) > 0 {
 			c.stats.RowsSettled += len(srcs)
-			ev.settleRestRows(p, i, srcs, e.rest)
+			ev.settleRows(p, i, Strategy{}, srcs, e.rest)
 		}
 		if relax {
 			ev.prepareWith(p, i, Strategy{}, false)

@@ -82,77 +82,9 @@ func (ev *Evaluator) NewDeviationBatch(p Profile, i int) *DeviationBatch {
 		srcs = append(srcs, int32(k))
 	}
 	ev.srcScratch = srcs
-	ev.settleRestRows(p, i, srcs, rest)
+	ev.settleRows(p, i, Strategy{}, srcs, rest) // empty override removes i's out-arcs
 	ev.batch = DeviationBatch{ev: ev, i: i, rest: rest, d: ev.batchD[:n]}
 	return &ev.batch
-}
-
-// restRowsMultiSource reports whether the rest rows of a kernelBFS
-// instance with n peers and m prepared arcs settle 64 sources per word
-// (msbfsChunk over the CSR) instead of one bitset BFS per source. A
-// multi-source wave costs O(n+m) word operations per level for 64
-// sources, a bitset sweep O(n·⌈n/64⌉) per source, so the multi-source
-// kernel wins on sparse graphs and loses on dense ones; the crossover
-// table behind the constant is in PERFORMANCE.md.
-func restRowsMultiSource(n, m int) bool { return 20*m <= n*n }
-
-// settleRestRows is the one rest-row settle path, shared by the fresh
-// NewDeviationBatch build and the BatchCache dirty-row re-settle: it
-// fills dst[k], for every k in srcs, with d_{G−skip}(k, ·), the SSSP
-// from k over p with peer skip's out-arcs removed.
-//
-// On kernelBFS instances whose G−skip is sparse (restRowsMultiSource)
-// the rows come from msbfsChunk, 64 sources per call, and the bitset
-// adjacency slab is never built; dense graphs and the heap/dial kernels
-// run their per-source kernel. With an attached pool of width ≥ 2 the
-// chunks (64 sources, or one on the per-source kernels) fan across its
-// evaluator clones. Every row lands in the slot indexed by its source
-// and carries the same bits on either kernel, so dst is byte-identical
-// at any pool width.
-func (ev *Evaluator) settleRestRows(p Profile, skip int, srcs []int32, dst [][]float64) {
-	multi := ev.inst.kernel == kernelBFS &&
-		restRowsMultiSource(ev.inst.N(), p.LinkCount()-p.OutDegree(skip))
-	chunk := 1
-	if multi {
-		chunk = 64
-	}
-	chunks := (len(srcs) + chunk - 1) / chunk
-	if pl := ev.pool; pl != nil && pl.Workers() > 1 && chunks > 1 {
-		pl.fanRestRows(p, skip, srcs, dst, multi, chunk, chunks)
-		return
-	}
-	ev.prepareRest(p, skip, multi)
-	for lo := 0; lo < len(srcs); lo += chunk {
-		ev.settleChunk(srcs[lo:min(lo+chunk, len(srcs))], dst, multi)
-	}
-}
-
-// prepareRest prepares the adjacency of G−skip for settleChunk: the
-// CSR only when multi (msbfsChunk never reads the bitset slab), the
-// full per-kernel adjacency otherwise.
-func (ev *Evaluator) prepareRest(p Profile, skip int, multi bool) {
-	ev.prepareWith(p, skip, Strategy{}, !multi) // empty override removes skip's out-arcs
-	if multi {
-		ev.ms.ensure(ev.inst.N())
-	}
-}
-
-// settleChunk writes the rows of srcs into dst over the adjacency the
-// last prepareRest built: one msbfsChunk call for ≤ 64 sources when
-// multi, one per-source SSSP each otherwise.
-func (ev *Evaluator) settleChunk(srcs []int32, dst [][]float64, multi bool) {
-	if !multi {
-		for _, k := range srcs {
-			copy(dst[k], ev.ssspFrom(int(k)))
-		}
-		return
-	}
-	rows := ev.ms.chunkRows[:len(srcs)]
-	for s, k := range srcs {
-		rows[s] = dst[k]
-	}
-	msbfsChunk(rows, srcs, ev.inst.hopDist, &ev.fwd, &ev.rev, ev.inst.undirected, &ev.ms)
-	clear(rows) // hold no row of dst past the call
 }
 
 // Peer returns the deviating peer the batch is bound to.

@@ -15,8 +15,8 @@ import (
 // are drawn without replacement from a seeded generator, so every
 // estimate is exactly reproducible: same profile, same seed, same
 // bits. Per-source values are computed by the real kernels through the
-// banded machinery (sampled sources feed msbfs chunks directly on
-// uniform metrics), never by a shadow implementation.
+// banded store (ssspBands over the sampled source list), never by a
+// shadow implementation.
 
 // Estimate is a sampled statistic with a 95% normal-approximation
 // confidence interval, finite-population corrected (the CI collapses
@@ -49,9 +49,9 @@ const zCI = 1.96
 // EstimateSocialCost estimates the social cost of p from a uniform
 // sample of source peers drawn without replacement with the given
 // seed: each sampled source's full per-peer cost is evaluated exactly
-// (through the banded multi-source kernel on uniform metrics), and the
-// population total is n/K times the sample sum. samples is clamped to
-// n; samples ≥ n yields the exact total (Exact, CI 0).
+// (through the banded store), and the population total is n/K times
+// the sample sum. samples is clamped to n; samples ≥ n yields the exact
+// total (Exact, CI 0).
 func (ev *Evaluator) EstimateSocialCost(p Profile, samples int, seed uint64) (Estimate, error) {
 	return ev.estimate(p, samples, seed, false)
 }
@@ -79,11 +79,16 @@ func (ev *Evaluator) estimate(p Profile, samples int, seed uint64, meanTerm bool
 	if samples > n {
 		samples = n
 	}
-	srcs := rng.New(seed).Perm(n)[:samples]
+	srcs := make([]int32, samples)
+	for k, src := range rng.New(seed).Perm(n)[:samples] {
+		srcs[k] = int32(src)
+	}
 	est := Estimate{Samples: samples, N: n, Exact: samples == n}
 
 	var sum, sumSq float64
-	ev.sampledEvals(p, srcs, func(src int, e Eval) {
+	// ssspBands fails only on a bad band or a visit error; neither occurs.
+	_ = ev.ssspBands(p, srcs, allPairsBand, func(src int, d []float64) error {
+		e := ev.peerEvalFrom(d, src, p.OutDegree(src))
 		est.Unreachable += e.Unreachable
 		var x float64
 		switch {
@@ -96,6 +101,7 @@ func (ev *Evaluator) estimate(p Profile, samples int, seed uint64, meanTerm bool
 		}
 		sum += x
 		sumSq += x * x
+		return nil
 	})
 
 	k := float64(samples)
@@ -127,44 +133,4 @@ func (ev *Evaluator) estimate(p Profile, samples int, seed uint64, meanTerm bool
 	}
 	est.CI = zCI * se
 	return est, nil
-}
-
-// sampledEvals evaluates the Evals of the given source peers under p,
-// preparing the adjacency once and feeding sources through the
-// multi-source BFS in ≤64-source chunks on uniform metrics (the
-// sampled-band path), or the per-source kernel otherwise. Sources are
-// visited in the given order; the slab is never materialized.
-func (ev *Evaluator) sampledEvals(p Profile, srcs []int, visit func(src int, e Eval)) {
-	n := ev.inst.N()
-	ev.prepareWith(p, -1, Strategy{}, false)
-	if ev.inst.kernel != kernelBFS {
-		for _, src := range srcs {
-			d := ev.ssspFrom(src)
-			visit(src, ev.peerEvalFrom(d, src, p.OutDegree(src)))
-		}
-		return
-	}
-	ev.ms.ensure(n)
-	band := min(len(srcs), 64)
-	if cap(ev.ms.bandBuf) < band*n {
-		ev.ms.bandBuf = make([]float64, band*n)
-		ev.ms.bandRows = make([][]float64, band)
-	}
-	buf := ev.ms.bandBuf[:band*n]
-	rows := ev.ms.bandRows[:band]
-	for r := range rows {
-		rows[r] = buf[r*n : (r+1)*n]
-	}
-	for lo := 0; lo < len(srcs); lo += band {
-		hi := min(lo+band, len(srcs))
-		chunk := ev.ms.srcs[:0]
-		for _, src := range srcs[lo:hi] {
-			chunk = append(chunk, int32(src))
-		}
-		ev.ms.srcs = chunk
-		msbfsChunk(rows[:hi-lo], chunk, ev.inst.hopDist, &ev.fwd, &ev.rev, ev.inst.undirected, &ev.ms)
-		for s, src := range srcs[lo:hi] {
-			visit(src, ev.peerEvalFrom(rows[s], src, p.OutDegree(src)))
-		}
-	}
 }

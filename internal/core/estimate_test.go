@@ -8,6 +8,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"selfishnet/internal/rng"
@@ -82,30 +83,39 @@ func TestEstimateDeterministicAndExactAtFullCoverage(t *testing.T) {
 }
 
 // TestSampledEvalsMatchPerSource checks that the sampled-band path
-// (msbfs over an arbitrary, non-consecutive source list) reproduces
-// per-source PeerEval bit for bit — the estimator's observations ARE
-// evaluator values, at any chunking.
+// (ssspBands over an arbitrary, non-consecutive source list, as the
+// estimators call it) reproduces per-source PeerEval bit for bit — the
+// estimator's observations ARE evaluator values, at any chunking, on
+// both sides of the multi-source kernel rule.
 func TestSampledEvalsMatchPerSource(t *testing.T) {
 	r := rng.New(101)
 	for _, c := range []diffCase{
 		{name: "bfs-multichunk", n: 170, linkProb: 0.04, space: "unit"},
 		{name: "bfs-undirected", n: 70, linkProb: 0.06, space: "unit", undirected: true},
+		{name: "bfs-dense", n: 130, linkProb: 0.3, space: "unit"},
 		{name: "heap", n: 40, linkProb: 0.15},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			inst, p := estProfile(t, r, c)
 			ev := NewEvaluator(inst)
 			evRef := NewEvaluator(inst)
-			srcs := rng.New(5).Perm(c.n)[:c.n*2/3]
-			got := map[int]Eval{}
-			ev.sampledEvals(p, srcs, func(src int, e Eval) { got[src] = e })
-			if len(got) != len(srcs) {
-				t.Fatalf("visited %d sources, want %d", len(got), len(srcs))
+			var srcs []int32
+			for _, src := range rng.New(5).Perm(c.n)[:c.n*2/3] {
+				srcs = append(srcs, int32(src))
 			}
-			for _, src := range srcs {
-				if want := evRef.PeerEval(p, src); got[src] != want {
-					t.Fatalf("src %d: sampled %+v, PeerEval %+v", src, got[src], want)
+			var order []int32
+			err := ev.ssspBands(p, srcs, allPairsBand, func(src int, d []float64) error {
+				order = append(order, int32(src))
+				if got, want := ev.peerEvalFrom(d, src, p.OutDegree(src)), evRef.PeerEval(p, src); got != want {
+					t.Fatalf("src %d: sampled %+v, PeerEval %+v", src, got, want)
 				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(order, srcs) {
+				t.Fatalf("visited %v, want the sample order %v", order, srcs)
 			}
 		})
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -221,16 +222,6 @@ func (in *Instance) distRow(i int) []float64 {
 	return in.dist[i*in.n : (i+1)*in.n]
 }
 
-// denseRows materializes the distance matrix as per-row slices (views
-// into the slab), for callers that want the [][]float64 shape.
-func (in *Instance) denseRows() [][]float64 {
-	rows := make([][]float64, in.n)
-	for i := range rows {
-		rows[i] = in.distRow(i)
-	}
-	return rows
-}
-
 // Alpha returns the link-maintenance price α.
 func (in *Instance) Alpha() float64 { return in.alpha }
 
@@ -271,8 +262,6 @@ type Evaluator struct {
 	inst *Instance
 	// SSSP distance scratch (one entry per peer).
 	d []float64
-	// Scratch for the retained dense reference implementation.
-	done []bool
 	// Scratch for congestion-aware evaluation.
 	indegBuf []int
 	scale    []float64 // per-peer congestion factors; nil when γ = 0
@@ -311,10 +300,12 @@ type Evaluator struct {
 	// Banded / multi-source BFS scratch (see msbfs.go): per-vertex
 	// source masks, frontier lists and band row storage.
 	ms msScratch
-	// pool, when attached, fans the rest-row settles of
-	// NewDeviationBatch (and BatchCache dirty-row settles) across
-	// evaluator clones. See AttachPool.
+	// pool, when attached, fans the chunks of every multi-row settle
+	// (settleRows) across evaluator clones. See AttachPool.
 	pool *Pool
+	// passEpoch names the row pass (settleRows) whose adjacency the last
+	// prepare built; 0 when that prepare belongs to no pass.
+	passEpoch uint64
 	// Scratch for collecting rest-row source lists (deviation.go).
 	srcScratch []int32
 	// batchRows and batch are the DeviationBatch arena: the row-view
@@ -342,7 +333,6 @@ func NewEvaluator(inst *Instance) *Evaluator {
 	return &Evaluator{
 		inst: inst,
 		d:    make([]float64, n),
-		done: make([]bool, n),
 	}
 }
 
@@ -353,11 +343,13 @@ func NewEvaluator(inst *Instance) *Evaluator {
 func (ev *Evaluator) Clone() *Evaluator { return NewEvaluator(ev.inst) }
 
 // AttachPool hands the evaluator a worker pool for intra-call
-// parallelism: while attached, NewDeviationBatch fans its n−1 rest rows
-// (and the BatchCache its dirty-row re-settles) across the pool's
-// evaluator clones, one source or one 64-source chunk per claim. Per-source rows are written to disjoint slots
-// indexed by source, so results are byte-identical at any width — the
-// same ordered-reduce convention as Pool's all-pairs methods. Pass nil
+// parallelism: while attached, every multi-row settle — the all-pairs
+// folds (SocialCost, SocialCostBanded, MaxTerm, TermMatrix, Connected,
+// the estimators), NewDeviationBatch's rest rows and the BatchCache's
+// dirty-row re-settles — fans its chunks (one source, or 64 on the
+// multi-source kernel) across the pool's evaluator clones. Each row
+// lands in the slot indexed by its source and the folds read them in
+// source order, so results are byte-identical at any width. Pass nil
 // to detach. The pool must be bound to the same instance. An attached
 // pool is always consulted; callers that attach one for a sequence of
 // operations (e.g. a replica loop) own its lifetime, and dynamics.Run
@@ -392,13 +384,14 @@ func (ev *Evaluator) prepare(p Profile, override int, alt Strategy) {
 // prepareWith is prepare with the bitset adjacency build optional:
 // bitsetAdj = false skips the n·⌈n/64⌉-word bfsAdj slab on kernelBFS
 // instances (512 MB at n = 65536) and builds only the CSR structures.
-// The streamed paths (SocialCostBanded, PeerEvalStreamed) run the
-// multi-source BFS over the CSR directly, so they never need the slab;
-// after a bitsetAdj = false call, ssspFrom must not be used on a
-// kernelBFS instance until a full prepare rebuilds it.
+// Row passes on the multi-source kernel (settleRows) run the BFS over
+// the CSR directly, so they never need the slab; after a bitsetAdj =
+// false call, ssspFrom must not be used on a kernelBFS instance until a
+// full prepare rebuilds it.
 func (ev *Evaluator) prepareWith(p Profile, override int, alt Strategy, bitsetAdj bool) {
 	n := ev.inst.N()
 	inst := ev.inst
+	ev.passEpoch = 0
 
 	// Congestion: fold the head peer's in-degree into the arc weight, so
 	// the traversal itself needs no special casing.
@@ -534,20 +527,19 @@ func (ev *Evaluator) prepareBFS(p Profile, override int, alt Strategy) {
 	}
 }
 
-// ssspFrom computes shortest-path distances from src over the adjacency
-// built by the last prepare call, dispatching to the instance's kernel:
-// word-parallel BFS for uniform metrics, a Dial bucket queue for
-// small-integer metrics, and the indexed binary-heap Dijkstra
-// (decrease-key, so each vertex is popped exactly once) in general. All
-// kernels compute identical bits (see kernels.go). The result is valid
-// until the next ssspFrom or prepare call.
-func (ev *Evaluator) ssspFrom(src int) []float64 {
+// ssspFrom writes the shortest-path distances from src into d (len n)
+// over the adjacency built by the last prepare call, dispatching to the
+// instance's kernel: word-parallel BFS for uniform metrics, a Dial
+// bucket queue for small-integer metrics, and the indexed binary-heap
+// Dijkstra (decrease-key, so each vertex is popped exactly once) in
+// general. All kernels compute identical bits (see kernels.go).
+func (ev *Evaluator) ssspFrom(d []float64, src int) {
 	n := ev.inst.N()
 	switch ev.inst.kernel {
 	case kernelBFS:
 		w := bfsWords(n)
-		bfsUnitSSSP(ev.d, ev.bfsAdj, w, src, ev.inst.hopDist, ev.bfsFront[:w], ev.bfsNext[:w], ev.bfsVisited[:w])
-		return ev.d
+		bfsUnitSSSP(d, ev.bfsAdj, w, src, ev.inst.hopDist, ev.bfsFront[:w], ev.bfsNext[:w], ev.bfsVisited[:w])
+		return
 	case kernelDial:
 		// Tiny directed instances keep the unsorted-frontier loop below:
 		// Dial's empty-bucket scan costs O(max distance) ≥ O(span) per
@@ -558,11 +550,10 @@ func (ev *Evaluator) ssspFrom(src int) []float64 {
 			if ev.inst.undirected {
 				revHead, revTo, revW = ev.rev.head, ev.rev.to, ev.rev.w
 			}
-			dialSSSP(ev.d, &ev.dial, ev.inst.span, src, ev.fwd.head, ev.fwd.to, ev.fwd.w, revHead, revTo, revW)
-			return ev.d
+			dialSSSP(d, &ev.dial, ev.inst.span, src, ev.fwd.head, ev.fwd.to, ev.fwd.w, revHead, revTo, revW)
+			return
 		}
 	}
-	d := ev.d
 	for i := range d {
 		d[i] = math.Inf(1)
 	}
@@ -602,7 +593,7 @@ func (ev *Evaluator) ssspFrom(src int) []float64 {
 				}
 			}
 		}
-		return d
+		return
 	}
 	h := &ev.heap
 	h.reset(n)
@@ -626,7 +617,6 @@ func (ev *Evaluator) ssspFrom(src int) []float64 {
 			}
 		}
 	}
-	return d
 }
 
 // sssp computes shortest-path distances from src over the profile
@@ -634,70 +624,8 @@ func (ev *Evaluator) ssspFrom(src int) []float64 {
 // disables the override). The result is valid until the next sssp call.
 func (ev *Evaluator) sssp(p Profile, src, override int, alt Strategy) []float64 {
 	ev.prepare(p, override, alt)
-	return ev.ssspFrom(src)
-}
-
-// ssspDense is the retained dense O(n²) reference implementation of the
-// profile SSSP (selection-scan Dijkstra, congestion-aware, with the
-// undirected case paying an O(n) ownership scan per settled node). It is
-// kept solely as the trusted oracle for the differential test suite that
-// cross-checks the heap SSSP; production paths always use prepare +
-// ssspFrom. The result shares ev.d, so copy before comparing.
-func (ev *Evaluator) ssspDense(p Profile, src, override int, alt Strategy) []float64 {
-	n := ev.inst.N()
-	inst := ev.inst
-	var scale []float64
-	if gamma := ev.inst.congestionGamma; gamma > 0 {
-		indeg := make([]int, n)
-		ev.indegrees(p, override, alt, indeg)
-		scale = make([]float64, n)
-		for j := 0; j < n; j++ {
-			scale[j] = 1 + gamma*float64(indeg[j])
-		}
-	}
-	weight := func(u, v int) float64 {
-		w := inst.Distance(u, v)
-		if scale != nil {
-			w *= scale[v]
-		}
-		return w
-	}
-	d, done := ev.d, ev.done
-	for i := 0; i < n; i++ {
-		d[i] = math.Inf(1)
-		done[i] = false
-	}
-	d[src] = 0
-	for iter := 0; iter < n; iter++ {
-		u, best := -1, math.Inf(1)
-		for v := 0; v < n; v++ {
-			if !done[v] && d[v] < best {
-				u, best = v, d[v]
-			}
-		}
-		if u == -1 {
-			break
-		}
-		done[u] = true
-		du := d[u]
-		strategyOf(p, u, override, alt).ForEach(func(j int) bool {
-			if nd := du + weight(u, j); nd < d[j] {
-				d[j] = nd
-			}
-			return true
-		})
-		if ev.inst.undirected {
-			// Links owned by others are traversable too.
-			for v := 0; v < n; v++ {
-				if strategyOf(p, v, override, alt).Contains(u) {
-					if nd := du + weight(u, v); nd < d[v] {
-						d[v] = nd
-					}
-				}
-			}
-		}
-	}
-	return d
+	ev.ssspFrom(ev.d, src)
+	return ev.d
 }
 
 // Undirected reports whether links are traversable in both directions.
@@ -832,23 +760,22 @@ func (ev *Evaluator) PeerCost(p Profile, i int) Cost {
 	return ev.PeerEval(p, i).Cost
 }
 
-// DeviationCost returns peer i's cost if it unilaterally switches to
-// strategy alt while everyone else keeps playing p.
-func (ev *Evaluator) DeviationCost(p Profile, i int, alt Strategy) Cost {
-	return ev.DeviationEval(p, i, alt).Cost
-}
+// allPairsBand is the row band of the all-pairs folds below: one
+// 64-source word of the multi-source kernel per band. ssspBands fails
+// only on a band below 1 or a visit error, so the folds whose visit
+// never fails drop its error.
+const allPairsBand = 64
 
-// SocialCost returns the decomposed social cost C(G) = α|E| + Σ terms.
-// The adjacency is prepared once and shared by all n source runs.
+// errDisconnected stops Connected's row stream at the first
+// unreachable pair.
+var errDisconnected = errors.New("core: overlay disconnected")
+
+// SocialCost returns the decomposed social cost C(G) = α|E| + Σ terms:
+// SocialCostBanded at the fixed allPairsBand, so the n×n matrix is never
+// resident.
 func (ev *Evaluator) SocialCost(p Profile) Cost {
-	ev.prepare(p, -1, Strategy{})
-	total := Cost{}
-	for i := 0; i < ev.inst.N(); i++ {
-		c := ev.peerEvalFrom(ev.ssspFrom(i), i, p.OutDegree(i)).Cost
-		total.Link += c.Link
-		total.Term += c.Term
-	}
-	return total
+	c, _ := ev.SocialCostBanded(p, allPairsBand) // a positive band cannot fail
+	return c
 }
 
 // TermMatrix returns the per-pair cost terms: entry (i,j) is the model
@@ -856,19 +783,18 @@ func (ev *Evaluator) SocialCost(p Profile) Cost {
 // entries are 0; unreachable pairs are +Inf.
 func (ev *Evaluator) TermMatrix(p Profile) [][]float64 {
 	n := ev.inst.N()
-	ev.prepare(p, -1, Strategy{})
 	out := make([][]float64, n)
-	for i := 0; i < n; i++ {
-		d := ev.ssspFrom(i)
+	_ = ev.ssspBands(p, nil, allPairsBand, func(src int, d []float64) error {
 		row := make([]float64, n)
-		direct := ev.inst.distRow(i)
-		for j := 0; j < n; j++ {
-			if i != j {
+		direct := ev.inst.distRow(src)
+		for j := range row {
+			if j != src {
 				row[j] = ev.inst.model.Term(d[j], direct[j])
 			}
 		}
-		out[i] = row
-	}
+		out[src] = row
+		return nil
+	})
 	return out
 }
 
@@ -876,38 +802,33 @@ func (ev *Evaluator) TermMatrix(p Profile) [][]float64 {
 // the paper's model). Theorem 4.1's key step bounds this by α+1 in any
 // Nash equilibrium.
 func (ev *Evaluator) MaxTerm(p Profile) float64 {
-	n := ev.inst.N()
-	ev.prepare(p, -1, Strategy{})
 	maxT := 0.0
-	for i := 0; i < n; i++ {
-		d := ev.ssspFrom(i)
-		direct := ev.inst.distRow(i)
-		for j := 0; j < n; j++ {
-			if i == j {
+	_ = ev.ssspBands(p, nil, allPairsBand, func(src int, d []float64) error {
+		direct := ev.inst.distRow(src)
+		for j, dj := range d {
+			if j == src {
 				continue
 			}
-			if t := ev.inst.model.Term(d[j], direct[j]); t > maxT {
+			if t := ev.inst.model.Term(dj, direct[j]); t > maxT {
 				maxT = t
 			}
 		}
-	}
+		return nil
+	})
 	return maxT
 }
 
-// Connected reports whether every peer reaches every other along the
-// directed overlay.
+// Connected reports whether every peer reaches every other in the
+// overlay (along directed links, or both ways on undirected instances).
 func (ev *Evaluator) Connected(p Profile) bool {
-	n := ev.inst.N()
-	ev.prepare(p, -1, Strategy{})
-	for i := 0; i < n; i++ {
-		d := ev.ssspFrom(i)
-		for j := 0; j < n; j++ {
-			if i != j && math.IsInf(d[j], 1) {
-				return false
+	return ev.ssspBands(p, nil, allPairsBand, func(src int, d []float64) error {
+		for j, dj := range d {
+			if j != src && math.IsInf(dj, 1) {
+				return errDisconnected
 			}
 		}
-	}
-	return true
+		return nil
+	}) == nil
 }
 
 // Distances returns the SSSP distances from src in the overlay G[p].

@@ -141,7 +141,7 @@ func TestDeviationCostMatchesSetStrategy(t *testing.T) {
 	_ = p.AddLink(3, 0)
 
 	alt := bitset.FromSlice([]int{2, 3})
-	dev := ev.DeviationCost(p, 0, alt)
+	dev := ev.DeviationEval(p, 0, alt).Cost
 
 	q := p.Clone()
 	if err := q.SetStrategy(0, alt); err != nil {
@@ -149,7 +149,7 @@ func TestDeviationCostMatchesSetStrategy(t *testing.T) {
 	}
 	direct := ev.PeerCost(q, 0)
 	if math.Abs(dev.Total()-direct.Total()) > 1e-12 {
-		t.Errorf("DeviationCost = %f, SetStrategy+PeerCost = %f", dev.Total(), direct.Total())
+		t.Errorf("DeviationEval cost = %f, SetStrategy+PeerCost = %f", dev.Total(), direct.Total())
 	}
 }
 
@@ -336,4 +336,14 @@ func TestQuickFullMeshStretchOne(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
 	}
+}
+
+// denseRows materializes the distance matrix as per-row slices (views
+// into the slab), for callers that want the [][]float64 shape.
+func (in *Instance) denseRows() [][]float64 {
+	rows := make([][]float64, in.n)
+	for i := range rows {
+		rows[i] = in.distRow(i)
+	}
+	return rows
 }

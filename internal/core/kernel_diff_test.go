@@ -553,7 +553,7 @@ func restRowsIdentical(t *testing.T, stage string, got, want *DeviationBatch) {
 // against an independent kernel: on a uniform metric the rows come from
 // msbfsChunk on sparse overlays and the bitset BFS on dense ones, and
 // both must equal a heap-pinned twin's exactly. It covers both sides of
-// restRowsMultiSource (a star, a sparse profile that leaves +Inf rows,
+// multiSourceRows (a star, a sparse profile that leaves +Inf rows,
 // a dense profile), n on both sides of the 64-source word, skip peers in
 // the first and the last chunk, pool widths 1, 2 and 4, and the fresh
 // build as well as the BatchCache settle and re-settle.
@@ -568,7 +568,7 @@ func TestRestRowsMatchHeapKernel(t *testing.T) {
 			name    string
 			p       Profile
 			q       float64 // link probability of the moves on the cache path
-			multi   bool    // the side of restRowsMultiSource the profile is on
+			multi   bool    // the side of multiSourceRows the profile is on
 			infRows bool    // some fresh rest row holds +Inf
 		}{
 			{"star", star, 0.02, true, true}, // skip 0 cuts the center off
@@ -583,7 +583,7 @@ func TestRestRowsMatchHeapKernel(t *testing.T) {
 					skips := []int{0, n - 1}
 					inf := false
 					for _, skip := range skips {
-						if got := restRowsMultiSource(n, pc.p.LinkCount()-pc.p.OutDegree(skip)); got != pc.multi {
+						if got := multiSourceRows(n, pc.p.LinkCount()-pc.p.OutDegree(skip)); got != pc.multi {
 							t.Fatalf("skip %d: multi-source %v, want %v", skip, got, pc.multi)
 						}
 						bH := evH.NewDeviationBatch(pc.p, skip)
@@ -640,7 +640,7 @@ func TestRestRowsScratchNoAliasing(t *testing.T) {
 	const n, skip = 130, 1
 	inst := buildDiffInstance(t, rng.New(59), diffCase{n: n, space: "unit"})
 	p := randomDiffProfile(rng.New(61), n, 0.03)
-	if !restRowsMultiSource(n, p.LinkCount()-p.OutDegree(skip)) {
+	if !multiSourceRows(n, p.LinkCount()-p.OutDegree(skip)) {
 		t.Fatal("profile does not take the multi-source kernel")
 	}
 	wantBatch := NewEvaluator(inst).NewDeviationBatch(p, skip)
@@ -678,9 +678,34 @@ func TestRestRowsScratchNoAliasing(t *testing.T) {
 	banded(ev, 3)
 }
 
+// requireZeroAllocFolds fails t unless every all-pairs fold on ev —
+// SocialCost, SocialCostBanded at band 64, MaxTerm and Connected —
+// allocates nothing once warmed.
+func requireZeroAllocFolds(t *testing.T, ev *Evaluator, p Profile) {
+	t.Helper()
+	for _, f := range []struct {
+		name string
+		run  func()
+	}{
+		{"SocialCost", func() { _ = ev.SocialCost(p) }},
+		{"SocialCostBanded(64)", func() {
+			if _, err := ev.SocialCostBanded(p, 64); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"MaxTerm", func() { _ = ev.MaxTerm(p) }},
+		{"Connected", func() { _ = ev.Connected(p) }},
+	} {
+		f.run() // warm the arenas
+		if avg := testing.AllocsPerRun(10, f.run); avg != 0 {
+			t.Errorf("%s allocates %v per run, want 0", f.name, avg)
+		}
+	}
+}
+
 // TestZeroAllocKernelHotPaths pins the arena contract: once warmed up,
-// the social-cost sweep and the deviation-batch build allocate nothing,
-// on every kernel.
+// the all-pairs folds (unpooled and with a width-2 pool) and the
+// deviation-batch build allocate nothing, on every kernel.
 func TestZeroAllocKernelHotPaths(t *testing.T) {
 	r := rng.New(47)
 	for _, c := range []diffCase{
@@ -692,12 +717,9 @@ func TestZeroAllocKernelHotPaths(t *testing.T) {
 			inst := buildDiffInstance(t, r, c)
 			ev := NewEvaluator(inst)
 			p := randomDiffProfile(r, c.n, c.linkProb)
-			_ = ev.SocialCost(p) // warm the arenas
-			if b := ev.NewDeviationBatch(p, 1); b == nil {
+			requireZeroAllocFolds(t, ev, p)
+			if b := ev.NewDeviationBatch(p, 1); b == nil { // warm the arenas
 				t.Fatal("batch unsupported")
-			}
-			if avg := testing.AllocsPerRun(10, func() { _ = ev.SocialCost(p) }); avg != 0 {
-				t.Errorf("SocialCost allocates %v per run, want 0", avg)
 			}
 			if avg := testing.AllocsPerRun(10, func() {
 				if b := ev.NewDeviationBatch(p, 2); b == nil {
@@ -706,6 +728,9 @@ func TestZeroAllocKernelHotPaths(t *testing.T) {
 			}); avg != 0 {
 				t.Errorf("NewDeviationBatch allocates %v per run, want 0", avg)
 			}
+			pooled := NewEvaluator(inst)
+			pooled.AttachPool(NewPool(inst, 2))
+			requireZeroAllocFolds(t, pooled, p)
 		})
 	}
 	// A sparse star settles its rest rows on the multi-source kernel;

@@ -13,11 +13,12 @@
 // Fabrikant et al., PODC 2003, whose distance term is d_G(i,j) itself)
 // reuse the same evaluation, dynamics and equilibrium machinery.
 //
-// Evaluation is built around a binary-heap SSSP over per-profile CSR
-// adjacency (with a maintained reverse index for undirected games), a
-// batched deviation evaluator for best-response search (DeviationBatch),
-// and a worker Pool that fans all-pairs evaluations across evaluator
-// clones with bit-identical results.
+// Evaluation is built around a family of bit-identical SSSP kernels over
+// per-profile CSR adjacency (with a maintained reverse index for
+// undirected games), one row-settle path that every all-pairs fold
+// streams through (settleRows, optionally fanned across an attached
+// worker Pool with bit-identical results), and a batched deviation
+// evaluator for best-response search (DeviationBatch).
 package core
 
 import "fmt"

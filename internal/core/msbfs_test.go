@@ -4,7 +4,7 @@ package core
 // bitset BFS (msbfs.go), plus the implicit uniform instance storage.
 // The contract is the house invariant, stated bit-for-bit: at EVERY
 // band width, on every kernel and regime, the streamed rows and the
-// banded social-cost fold must equal the slab path exactly — and an
+// banded social-cost fold must equal per-source SSSP exactly — and an
 // instance over the implicit O(1)-storage uniform space must be
 // indistinguishable, bit for bit, from one over the dense Uniform
 // matrix.
@@ -25,10 +25,23 @@ func bandWidths(n int) []int {
 	return []int{1, 2, 3, 63, 64, 65, n, n + 7}
 }
 
+// peerEvalSum folds every peer's PeerEval cost in source order: the
+// per-source reference the banded social cost must equal bit for bit.
+func peerEvalSum(ev *Evaluator, p Profile) Cost {
+	total := Cost{}
+	for i := 0; i < p.N(); i++ {
+		c := ev.PeerEval(p, i).Cost
+		total.Link += c.Link
+		total.Term += c.Term
+	}
+	return total
+}
+
 // TestSocialCostBandedMatchesSlabBitForBit folds the banded social cost
-// at every band width against the slab-path SocialCost, across every
-// diff regime (all three kernels, directed/undirected, γ > 0,
-// disconnection). Exact struct equality: same Link, same Term bits.
+// at every band width, and SocialCost, against the per-source PeerEval
+// fold, across every diff regime (all three kernels,
+// directed/undirected, γ > 0, disconnection). Exact struct equality:
+// same Link, same Term bits.
 func TestSocialCostBandedMatchesSlabBitForBit(t *testing.T) {
 	r := rng.New(53)
 	for _, c := range diffCases() {
@@ -36,27 +49,33 @@ func TestSocialCostBandedMatchesSlabBitForBit(t *testing.T) {
 			inst := buildDiffInstance(t, r, c)
 			ev := NewEvaluator(inst)
 			p := randomDiffProfile(r, c.n, c.linkProb)
-			want := ev.SocialCost(p)
+			want := peerEvalSum(NewEvaluator(inst), p)
+			if got := ev.SocialCost(p); got != want {
+				t.Fatalf("SocialCost: %+v, per-source %+v", got, want)
+			}
 			for _, band := range bandWidths(c.n) {
 				got, err := ev.SocialCostBanded(p, band)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if got != want {
-					t.Fatalf("band %d: %+v, slab %+v", band, got, want)
+					t.Fatalf("band %d: %+v, per-source %+v", band, got, want)
 				}
 			}
 		})
 	}
 }
 
-// TestSSSPBandsRowsMatchSlabBitForBit checks every streamed row against
-// the slab-path ssspFrom row, exactly, at band widths straddling the
-// 64-source chunk boundary — the multi-word, disconnected and
-// undirected BFS regimes are where the mask bookkeeping could go wrong.
+// TestSSSPBandsRowsMatchSlabBitForBit checks every streamed row of
+// ssspBands against a per-source ssspFrom row, exactly, at band widths
+// straddling the 64-source chunk boundary — the multi-word,
+// disconnected and undirected BFS regimes are where the mask
+// bookkeeping could go wrong, and the dense BFS case takes the
+// per-source side of the kernel rule.
 func TestSSSPBandsRowsMatchSlabBitForBit(t *testing.T) {
 	r := rng.New(59)
-	for _, c := range diffCases() {
+	dense := diffCase{name: "bfs-dense", n: 130, linkProb: 0.3, space: "unit"}
+	for _, c := range append(diffCases(), dense) {
 		t.Run(c.name, func(t *testing.T) {
 			inst := buildDiffInstance(t, r, c)
 			evBand := NewEvaluator(inst)
@@ -64,12 +83,13 @@ func TestSSSPBandsRowsMatchSlabBitForBit(t *testing.T) {
 			p := randomDiffProfile(r, c.n, c.linkProb)
 			evSlab.prepare(p, -1, Strategy{})
 			slab := make([][]float64, c.n)
-			for s := 0; s < c.n; s++ {
-				slab[s] = append([]float64(nil), evSlab.ssspFrom(s)...)
+			for s := range slab {
+				slab[s] = make([]float64, c.n)
+				evSlab.ssspFrom(slab[s], s)
 			}
 			for _, band := range bandWidths(c.n) {
 				seen := 0
-				err := evBand.SSSPBands(p, band, func(src int, d []float64) error {
+				err := evBand.ssspBands(p, nil, band, func(src int, d []float64) error {
 					if src != seen {
 						t.Fatalf("band %d: visited src %d, want %d (order contract)", band, src, seen)
 					}
@@ -132,7 +152,7 @@ func TestSSSPBandsRejectsInvalidBand(t *testing.T) {
 	ev := NewEvaluator(inst)
 	p := randomDiffProfile(r, 8, 0.3)
 	for _, band := range []int{0, -1} {
-		if err := ev.SSSPBands(p, band, func(int, []float64) error { return nil }); err == nil {
+		if err := ev.ssspBands(p, nil, band, func(int, []float64) error { return nil }); err == nil {
 			t.Errorf("band %d: expected error", band)
 		}
 	}
@@ -231,21 +251,28 @@ func TestImplicitUniformMatchesDenseBitForBit(t *testing.T) {
 }
 
 // TestZeroAllocBandedHotPath pins the arena contract for the banded
-// fold: once warmed, SocialCostBanded allocates nothing.
+// folds on a uniform metric: once warmed, SocialCostBanded, SocialCost,
+// MaxTerm and Connected allocate nothing, unpooled and with a width-2
+// pool, on a profile on each side of the multi-source kernel rule — and
+// a band wider than 64 fans the multi-source chunks across the pool.
 func TestZeroAllocBandedHotPath(t *testing.T) {
 	r := rng.New(73)
 	inst := buildDiffInstance(t, r, diffCase{n: 70, linkProb: 0.1, space: "unit"})
-	ev := NewEvaluator(inst)
-	p := randomDiffProfile(r, 70, 0.1)
-	if _, err := ev.SocialCostBanded(p, 64); err != nil { // warm the arenas
-		t.Fatal(err)
-	}
-	if avg := testing.AllocsPerRun(10, func() {
-		if _, err := ev.SocialCostBanded(p, 64); err != nil {
-			t.Fatal(err)
+	for _, q := range []float64{0.1, 0.01} {
+		p := randomDiffProfile(r, 70, q)
+		ev := NewEvaluator(inst)
+		requireZeroAllocFolds(t, ev, p)
+		ev.AttachPool(NewPool(inst, 2))
+		requireZeroAllocFolds(t, ev, p)
+		run := func() {
+			if _, err := ev.SocialCostBanded(p, 70); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}); avg != 0 {
-		t.Errorf("SocialCostBanded allocates %v per run, want 0", avg)
+		run() // warm the arenas
+		if avg := testing.AllocsPerRun(10, run); avg != 0 {
+			t.Errorf("q=%v: pooled SocialCostBanded(70) allocates %v per run, want 0", q, avg)
+		}
 	}
 }
 
@@ -279,7 +306,7 @@ func TestUnitSpaceSelfClassification(t *testing.T) {
 
 // BenchmarkRestRowsKernel settles every rest row of one deviation batch
 // with each BFS kernel forced, across overlay densities on both sides
-// of the restRowsMultiSource crossover: the star and random profiles of
+// of the multiSourceRows crossover: the star and random profiles of
 // link probability q (m ≈ q·n²). It is the measurement behind the
 // dispatch constant; the table lives in PERFORMANCE.md.
 func BenchmarkRestRowsKernel(b *testing.B) {
@@ -326,7 +353,8 @@ func BenchmarkRestRowsKernel(b *testing.B) {
 				b.Run(name, func(b *testing.B) {
 					ev := NewEvaluator(inst)
 					for it := 0; it < b.N; it++ {
-						ev.prepareRest(pc.p, skip, multi)
+						rp := rowPass{p: pc.p, override: skip, multi: multi, epoch: passEpochs.Add(1)}
+						ev.preparePass(&rp)
 						for lo := 0; lo < len(srcs); lo += chunk {
 							ev.settleChunk(srcs[lo:min(lo+chunk, len(srcs))], dst, multi)
 						}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -34,47 +36,133 @@ func poolTestProfile(n int, q float64) Profile {
 	return p
 }
 
-// TestPoolMatchesEvaluatorBitIdentical asserts the pool's ordered
-// reduction: parallel SocialCost/MaxTerm/Connected must equal the
-// sequential evaluator results exactly (==, not within tolerance).
+// foldResults is every all-pairs fold of one evaluator on one profile.
+type foldResults struct {
+	social    Cost
+	banded    []Cost // at the bands of TestPoolMatchesEvaluatorBitIdentical
+	maxTerm   float64
+	terms     [][]float64
+	connected bool
+	estimates []Estimate // EstimateSocialCost, EstimateMeanTerm per sample size
+}
+
+// allFolds runs every all-pairs fold of ev on p.
+func allFolds(t *testing.T, ev *Evaluator, p Profile, bands, samples []int) foldResults {
+	t.Helper()
+	res := foldResults{
+		social:    ev.SocialCost(p),
+		maxTerm:   ev.MaxTerm(p),
+		terms:     ev.TermMatrix(p),
+		connected: ev.Connected(p),
+	}
+	for _, band := range bands {
+		c, err := ev.SocialCostBanded(p, band)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.banded = append(res.banded, c)
+	}
+	for _, k := range samples {
+		sc, err := ev.EstimateSocialCost(p, k, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mt, err := ev.EstimateMeanTerm(p, k, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.estimates = append(res.estimates, sc, mt)
+	}
+	return res
+}
+
+// TestPoolMatchesEvaluatorBitIdentical is the differential test of the
+// one row-settle path: every all-pairs fold (SocialCost,
+// SocialCostBanded, MaxTerm, TermMatrix, Connected, EstimateSocialCost,
+// EstimateMeanTerm) of an evaluator without a pool and with pools of
+// width 1, 2 and 7 must equal, with ==, the same fold on an independent
+// WithKernel("heap") twin. Rows cross the game (directed, undirected,
+// congested) with the profile (dense q = 0.3, sparse and disconnected,
+// a star), so uniform-metric rows land on both sides of the
+// multi-source kernel rule; each row runs the bfs, dial and heap
+// kernels (unit, int and points metrics) at n ∈ {63, 64, 65, 130}, at
+// bands 1, 3, 64 and n, with sample sizes not aligned to 64. The
+// evaluators and pools of an instance are shared by all its profiles.
 func TestPoolMatchesEvaluatorBitIdentical(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		opts []Option
-		q    float64
+	type fixture struct {
+		heap *Evaluator
+		evs  []*Evaluator // unpooled, then pools of width 1, 2, 7
+	}
+	fixtures := map[string]*fixture{}
+	r := rng.New(41)
+	games := []struct {
+		name       string
+		undirected bool
+		gamma      float64
 	}{
-		{name: "directed", q: 0.2},
-		{name: "directed-disconnected", q: 0.02},
-		{name: "undirected", opts: []Option{WithUndirected()}, q: 0.15},
-		{name: "congested", opts: []Option{WithCongestion(0.6)}, q: 0.2},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			const n = 40
-			inst := poolTestInstance(t, n, tc.opts...)
-			p := poolTestProfile(n, tc.q)
-			ev := NewEvaluator(inst)
-			for _, workers := range []int{1, 2, 7} {
-				pl := NewPool(inst, workers)
-				if got, want := pl.SocialCost(p), ev.SocialCost(p); got != want {
-					t.Fatalf("workers=%d SocialCost: got %+v, want %+v", workers, got, want)
-				}
-				if got, want := pl.MaxTerm(p), ev.MaxTerm(p); got != want {
-					t.Fatalf("workers=%d MaxTerm: got %v, want %v", workers, got, want)
-				}
-				if got, want := pl.Connected(p), ev.Connected(p); got != want {
-					t.Fatalf("workers=%d Connected: got %v, want %v", workers, got, want)
-				}
-				gotTM, wantTM := pl.TermMatrix(p), ev.TermMatrix(p)
-				for i := range wantTM {
-					for j := range wantTM[i] {
-						if gotTM[i][j] != wantTM[i][j] {
-							t.Fatalf("workers=%d TermMatrix[%d][%d]: got %v, want %v",
-								workers, i, j, gotTM[i][j], wantTM[i][j])
+		{name: "directed"},
+		{name: "undirected", undirected: true},
+		{name: "congested", gamma: 0.6},
+	}
+	profiles := []struct {
+		suffix string
+		build  func(n int) Profile
+		multi  bool // the side of multiSourceRows the profile is on
+	}{
+		{"", func(n int) Profile { return randomDiffProfile(r, n, 0.3) }, false},
+		{"-disconnected", func(n int) Profile { return randomDiffProfile(r, n, 0.02) }, true},
+		{"-star", func(n int) Profile {
+			p, err := StarProfile(n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return p
+		}, true},
+	}
+	spaces := []struct{ space, kernel string }{{"unit", "bfs"}, {"int", "dial"}, {"points", "heap"}}
+	for _, g := range games {
+		for _, pc := range profiles {
+			t.Run(g.name+pc.suffix, func(t *testing.T) {
+				for _, sp := range spaces {
+					for _, n := range []int{63, 64, 65, 130} {
+						key := fmt.Sprintf("%s/%s/n%d", g.name, sp.space, n)
+						fx := fixtures[key]
+						if fx == nil {
+							c := diffCase{n: n, space: sp.space, undirected: g.undirected, gamma: g.gamma}
+							auto, heap := twinInstances(t, r, c)
+							if want := sp.kernel; g.gamma == 0 && auto.Kernel() != want {
+								t.Fatalf("%s: kernel %q, want %q", key, auto.Kernel(), want)
+							}
+							fx = &fixture{heap: NewEvaluator(heap), evs: []*Evaluator{NewEvaluator(auto)}}
+							for _, w := range []int{1, 2, 7} {
+								ev := NewEvaluator(auto)
+								ev.AttachPool(NewPool(auto, w))
+								fx.evs = append(fx.evs, ev)
+							}
+							fixtures[key] = fx
+						}
+						p := pc.build(n)
+						if fx.evs[0].inst.kernel == kernelBFS && multiSourceRows(n, p.LinkCount()) != pc.multi {
+							t.Fatalf("%s: multi-source %v, want %v", key, !pc.multi, pc.multi)
+						}
+						bands, samples := []int{1, 3, 64, n}, []int{37, n - 3}
+						want := allFolds(t, fx.heap, p, bands, samples)
+						for _, c := range want.banded {
+							if c != want.social {
+								t.Fatalf("%s: heap banded %+v, SocialCost %+v", key, c, want.social)
+							}
+						}
+						for e, ev := range fx.evs {
+							got := allFolds(t, ev, p, bands, samples)
+							if !reflect.DeepEqual(got, want) {
+								t.Fatalf("%s evaluator %d (0 unpooled, then widths 1, 2, 7):\n got %+v\nwant %+v",
+									key, e, got, want)
+							}
 						}
 					}
 				}
-			}
-		})
+			})
+		}
 	}
 }
 
@@ -128,19 +216,4 @@ func TestEvaluatorCloneStress(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-}
-
-// TestPoolSharedAcrossProfiles confirms a pool is reusable across
-// profiles (workers re-prepare their adjacency per call).
-func TestPoolSharedAcrossProfiles(t *testing.T) {
-	const n = 20
-	inst := poolTestInstance(t, n)
-	pl := NewPool(inst, 4)
-	ev := NewEvaluator(inst)
-	for _, q := range []float64{0.05, 0.2, 0.5} {
-		p := poolTestProfile(n, q)
-		if got, want := pl.SocialCost(p), ev.SocialCost(p); got != want {
-			t.Fatalf("q=%v: got %+v, want %+v", q, got, want)
-		}
-	}
 }

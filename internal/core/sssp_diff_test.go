@@ -283,3 +283,64 @@ func TestSSSPMatchesSingleCallAfterMultiSource(t *testing.T) {
 		t.Fatalf("PeerEval after SocialCost on another profile: got %+v, want %+v", gotQ, wantQ)
 	}
 }
+
+// ssspDense is the dense O(n²) reference implementation of the profile
+// SSSP (selection-scan Dijkstra, congestion-aware, with the undirected
+// case paying an O(n) ownership scan per settled node): the trusted
+// oracle the heap SSSP is cross-checked against. The result shares
+// ev.d, so copy before comparing.
+func (ev *Evaluator) ssspDense(p Profile, src, override int, alt Strategy) []float64 {
+	n := ev.inst.N()
+	inst := ev.inst
+	var scale []float64
+	if gamma := ev.inst.congestionGamma; gamma > 0 {
+		indeg := make([]int, n)
+		ev.indegrees(p, override, alt, indeg)
+		scale = make([]float64, n)
+		for j := 0; j < n; j++ {
+			scale[j] = 1 + gamma*float64(indeg[j])
+		}
+	}
+	weight := func(u, v int) float64 {
+		w := inst.Distance(u, v)
+		if scale != nil {
+			w *= scale[v]
+		}
+		return w
+	}
+	d, done := ev.d, make([]bool, n)
+	for i := range d {
+		d[i] = math.Inf(1)
+	}
+	d[src] = 0
+	for iter := 0; iter < n; iter++ {
+		u, best := -1, math.Inf(1)
+		for v := 0; v < n; v++ {
+			if !done[v] && d[v] < best {
+				u, best = v, d[v]
+			}
+		}
+		if u == -1 {
+			break
+		}
+		done[u] = true
+		du := d[u]
+		strategyOf(p, u, override, alt).ForEach(func(j int) bool {
+			if nd := du + weight(u, j); nd < d[j] {
+				d[j] = nd
+			}
+			return true
+		})
+		if ev.inst.undirected {
+			// Links owned by others are traversable too.
+			for v := 0; v < n; v++ {
+				if strategyOf(p, v, override, alt).Contains(u) {
+					if nd := du + weight(u, v); nd < d[v] {
+						d[v] = nd
+					}
+				}
+			}
+		}
+	}
+	return d
+}

@@ -325,7 +325,7 @@ func RunContext(ctx context.Context, ev *core.Evaluator, start core.Profile, cfg
 		cfg.MaxSteps = 10_000
 	}
 	cfg.Policy.Reset()
-	// The pool is only consulted through NewDeviationBatch, so regimes
+	// The pool pays off in NewDeviationBatch's rest rows, so regimes
 	// that cannot serve a batch skip the attach entirely. A pool the
 	// caller already attached (e.g. replicaRuns reusing one across a
 	// sequential replica loop) is kept as-is.

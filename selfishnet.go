@@ -159,16 +159,6 @@ func SocialCost(g *Game, p Profile) Cost {
 	return NewSession(g).SocialCost(p)
 }
 
-// Pool fans all-pairs evaluations (social cost, max stretch,
-// connectivity) out across per-goroutine evaluator clones; results are
-// bit-identical to the sequential equivalents. Create one per game with
-// NewPool and reuse it across profiles.
-type Pool = core.Pool
-
-// NewPool creates an evaluation pool of `workers` goroutines over the
-// game (workers <= 0 selects GOMAXPROCS).
-func NewPool(g *Game, workers int) *Pool { return core.NewPool(g, workers) }
-
 // MaxStretch returns the largest pairwise stretch in the overlay (+Inf
 // when some peer cannot reach another).
 func MaxStretch(g *Game, p Profile) float64 {

@@ -10,20 +10,19 @@ import (
 )
 
 // Session is a stateful handle on one game: it owns a cached evaluator
-// (CSR/heap scratch buffers) and a lazily created evaluation pool, so a
-// sequence of operations on the same game reuses those buffers instead
-// of reallocating them per call, the dominant cost of the one-shot
-// facade functions (see BenchmarkSessionReuse).
+// (CSR/heap/band scratch buffers), so a sequence of operations on the
+// same game reuses those buffers instead of reallocating them per call,
+// the dominant cost of the one-shot facade functions (see
+// BenchmarkSessionReuse).
 //
 // A Session is not safe for concurrent use; create one per goroutine,
-// or use the internal fan-outs (DynamicsConfig.Parallelism, Pool) which
-// parallelize safely under a single Session. The one-shot package
-// functions (SocialCost, RunDynamics, ...) remain as thin wrappers that
-// construct an ephemeral Session per call.
+// or use the internal fan-outs (DynamicsConfig.Parallelism and
+// DynamicsConfig.BatchWorkers), which parallelize safely under a single
+// Session. The one-shot package functions (SocialCost, RunDynamics, ...)
+// remain as thin wrappers that construct an ephemeral Session per call.
 type Session struct {
-	g    *Game
-	ev   *core.Evaluator
-	pool *core.Pool
+	g  *Game
+	ev *core.Evaluator
 }
 
 // NewSession creates a session over the game.
@@ -33,15 +32,6 @@ func NewSession(g *Game) *Session {
 
 // Game returns the bound game.
 func (s *Session) Game() *Game { return s.g }
-
-// Pool returns the session's evaluation pool (created on first use with
-// one worker per core), for bulk all-pairs work over large profiles.
-func (s *Session) Pool() *Pool {
-	if s.pool == nil {
-		s.pool = core.NewPool(s.g, 0)
-	}
-	return s.pool
-}
 
 // PeerCost returns peer i's decomposed cost under profile p.
 func (s *Session) PeerCost(p Profile, i int) Cost { return s.ev.PeerCost(p, i) }

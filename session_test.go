@@ -114,9 +114,10 @@ func TestSessionMatchesFacade(t *testing.T) {
 	}
 }
 
-// TestSessionPool pins that the lazily created pool is cached and
-// agrees with the session evaluator.
-func TestSessionPool(t *testing.T) {
+// TestSessionAllPairsMatchFacade pins the session's all-pairs folds
+// against the one-shot facade on a 12-peer game, across profiles on
+// one session (the band scratch is reused from call to call).
+func TestSessionAllPairsMatchFacade(t *testing.T) {
 	r := selfishnet.NewRNG(21)
 	space, err := selfishnet.UniformPeers(r, 12, 2)
 	if err != nil {
@@ -127,16 +128,14 @@ func TestSessionPool(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := selfishnet.NewSession(game)
-	pool := s.Pool()
-	if pool == nil || pool != s.Pool() {
-		t.Fatal("Pool must be created once and cached")
-	}
-	p := selfishnet.RandomProfile(selfishnet.NewRNG(2), 12, 0.25)
-	if got, want := pool.SocialCost(p), s.SocialCost(p); got != want {
-		t.Fatalf("pool SocialCost %v != session %v", got, want)
-	}
-	if got, want := pool.MaxTerm(p), s.MaxStretch(p); got != want {
-		t.Fatalf("pool MaxTerm %v != session %v", got, want)
+	for _, q := range []float64{0.25, 0.05, 0.6} {
+		p := selfishnet.RandomProfile(selfishnet.NewRNG(2), 12, q)
+		if got, want := s.SocialCost(p), selfishnet.SocialCost(game, p); got != want {
+			t.Fatalf("q=%v: session SocialCost %v != facade %v", q, got, want)
+		}
+		if got, want := s.MaxStretch(p), selfishnet.MaxStretch(game, p); got != want {
+			t.Fatalf("q=%v: session MaxStretch %v != facade %v", q, got, want)
+		}
 	}
 }
 
