@@ -166,6 +166,23 @@ func TestPoolMatchesEvaluatorBitIdentical(t *testing.T) {
 	}
 }
 
+// TestPoolSharedAcrossProfiles reuses one pool, attached to one
+// evaluator, across profiles of different density; its SocialCost must
+// equal that of an unpooled evaluator on each.
+func TestPoolSharedAcrossProfiles(t *testing.T) {
+	const n = 20
+	inst := poolTestInstance(t, n)
+	pooled := NewEvaluator(inst)
+	pooled.AttachPool(NewPool(inst, 4))
+	ev := NewEvaluator(inst)
+	for _, q := range []float64{0.05, 0.2, 0.5} {
+		p := poolTestProfile(n, q)
+		if got, want := pooled.SocialCost(p), ev.SocialCost(p); got != want {
+			t.Fatalf("q=%v: got %+v, want %+v", q, got, want)
+		}
+	}
+}
+
 // TestEvaluatorCloneStress hammers clones of one shared instance from
 // many goroutines at once; run under -race it proves the concurrency
 // contract (immutable instance, per-goroutine evaluator state). Each
