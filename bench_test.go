@@ -382,6 +382,45 @@ func BenchmarkLocalSearchBestResponse32(b *testing.B) {
 	}
 }
 
+// BenchmarkLocalSearchBestResponse512Star is one local-search oracle
+// call on the unit star at n=512, α=4 (an equilibrium, so one round
+// scores every move and none wins): the batch build plus the fused
+// add/drop/swap scoring, for a leaf (≈2n moves over a one-link
+// strategy) and the centre (n−1 drops), unpooled ("seq") and on an
+// explicit width-2 pool ("w2").
+func BenchmarkLocalSearchBestResponse512Star(b *testing.B) {
+	ev, _ := uniformSetup(b, 512, 4)
+	p, err := core.StarProfile(512)
+	if err != nil {
+		b.Fatal(err)
+	}
+	oracle := &bestresponse.LocalSearch{}
+	for _, peer := range []struct {
+		name string
+		i    int
+	}{{"leaf", 1}, {"centre", 0}} {
+		for _, workers := range []int{1, 2} {
+			name := peer.name + "/seq"
+			if workers > 1 {
+				name = peer.name + "/w2"
+			}
+			b.Run(name, func(b *testing.B) {
+				ev := ev.Clone()
+				if workers > 1 {
+					ev.AttachPool(core.NewPool(ev.Instance(), workers))
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := oracle.BestResponse(ev, p, peer.i); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
 func BenchmarkNashCheckFigure1(b *testing.B) {
 	f, err := construct.NewFigure1(11, 4)
 	if err != nil {

@@ -245,28 +245,53 @@ func (*LocalSearch) Name() string { return "local-search" }
 // Clone returns a local-search oracle with the same iteration bound.
 func (o *LocalSearch) Clone() Oracle { return &LocalSearch{MaxIterations: o.MaxIterations} }
 
-// BestResponse implements Oracle via hill climbing.
+// BestResponse implements Oracle via hill climbing. Where the instance
+// admits a deviation batch, each round is one core.DeviationBatch
+// LocalStep over a batch built once per call: every move scored in one
+// fused pass, fanned across an attached pool. Elsewhere (undirected or
+// congested instances, or n past the batch cap) the moves are scored
+// one by one through DeviationEval. Both walk the same scan order with
+// the same running rule.
 func (o *LocalSearch) BestResponse(ev *core.Evaluator, p core.Profile, i int) (Result, error) {
 	inst := ev.Instance()
 	n := inst.N()
 	if i < 0 || i >= n {
 		return Result{}, fmt.Errorf("bestresponse: peer %d out of range [0,%d)", i, n)
 	}
-	scorer := deviationScorer(ev, p, i)
-	cur := p.Strategy(i).Clone()
-	curEval := scorer(cur)
-
 	maxIter := o.MaxIterations
 	if maxIter <= 0 {
 		maxIter = n*n + n + 1
 	}
+	cur := p.Strategy(i).Clone()
+	b := ev.NewDeviationBatch(p, i)
+	if b == nil {
+		return localScan(n, i, cur, maxIter, Tolerance, func(s core.Strategy) core.Eval { return ev.DeviationEval(p, i, s) }), nil
+	}
+	curEval := b.Eval(cur)
+	for iter := 0; iter < maxIter; iter++ {
+		move, e, improved := b.LocalStep(cur, curEval, Tolerance)
+		if !improved {
+			break
+		}
+		move.Apply(&cur)
+		curEval = e
+	}
+	return Result{Strategy: cur, Eval: curEval}, nil
+}
+
+// localScan is the per-candidate local search: up to maxIter rounds,
+// each scoring every add, drop and swap of cur through scorer in
+// LocalStep's scan order and moving to the winner of the running
+// Better(best, tol) rule.
+func localScan(n, i int, cur core.Strategy, maxIter int, tol float64, scorer func(core.Strategy) core.Eval) Result {
+	curEval := scorer(cur)
 	for iter := 0; iter < maxIter; iter++ {
 		bestMove := cur
 		bestEval := curEval
 		improved := false
 		try := func(s core.Strategy) {
 			c := scorer(s)
-			if c.Better(bestEval, Tolerance) {
+			if c.Better(bestEval, tol) {
 				bestMove, bestEval = s.Clone(), c
 				improved = true
 			}
@@ -300,7 +325,7 @@ func (o *LocalSearch) BestResponse(ev *core.Evaluator, p core.Profile, i int) (R
 		}
 		cur, curEval = bestMove, bestEval
 	}
-	return Result{Strategy: cur, Eval: curEval}, nil
+	return Result{Strategy: cur, Eval: curEval}
 }
 
 // Greedy builds a response from scratch: starting from the empty
@@ -378,7 +403,6 @@ func (*Greedy) BestResponse(ev *core.Evaluator, p core.Profile, i int) (Result, 
 // found. Gains at or below Tolerance mean the oracle found no
 // improvement; +Inf means the deviation restores reachability.
 func Improvement(ev *core.Evaluator, p core.Profile, i int, o Oracle) (gain float64, dev Result, err error) {
-	cur := ev.PeerEval(p, i)
 	res, err := o.BestResponse(ev, p, i)
 	if err != nil {
 		return 0, Result{}, err
@@ -387,8 +411,11 @@ func Improvement(ev *core.Evaluator, p core.Profile, i int, o Oracle) (gain floa
 		// Staying put is by definition a zero-gain deviation. Without
 		// this guard a true equilibrium could report association-noise
 		// gains, because oracles score the incumbent through the batch
-		// evaluator while cur comes from a full SSSP.
+		// evaluator while the current eval comes from a full SSSP.
 		return 0, res, nil
 	}
-	return cur.Gain(res.Eval), res, nil
+	// Every oracle returns a freshly allocated strategy and an Eval by
+	// value, so the SSSP behind the current eval, run after the oracle
+	// on the same evaluator, cannot disturb res.
+	return ev.PeerEval(p, i).Gain(res.Eval), res, nil
 }

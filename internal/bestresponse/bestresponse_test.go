@@ -305,3 +305,60 @@ func TestEvalGainSigns(t *testing.T) {
 		t.Errorf("gain to disconnected = %f, want -Inf", g)
 	}
 }
+
+// TestLocalSearchMatchesScan: LocalSearch's fused rounds — unpooled and
+// fanned across pools of width 2 and 7 — return the Strategy and Eval
+// bits of the per-candidate scan over the same deviation batch, at
+// MaxIterations 0 (climb to the end) and 1. The n=160 dense profile has
+// enough work per round for the pooled rounds to fan out.
+func TestLocalSearchMatchesScan(t *testing.T) {
+	r := rng.New(29)
+	for _, c := range []struct {
+		n        int
+		q        float64
+		maxIters []int
+	}{
+		{40, 0.02, []int{0, 1}},
+		{40, 0.3, []int{0, 1}},
+		{160, 0.3, []int{1}},
+	} {
+		space, err := metric.UniformPoints(r, c.n, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inst, err := core.NewInstance(space, 1.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := core.NewProfile(c.n)
+		for i := 0; i < c.n; i++ {
+			for j := 0; j < c.n; j++ {
+				if i != j && r.Bool(c.q) {
+					_ = p.AddLink(i, j)
+				}
+			}
+		}
+		for _, maxIter := range c.maxIters {
+			for _, i := range []int{0, c.n / 2, c.n - 1} {
+				b := core.NewEvaluator(inst).NewDeviationBatch(p, i)
+				rounds := maxIter
+				if rounds == 0 {
+					rounds = c.n*c.n + c.n + 1
+				}
+				want := localScan(c.n, i, p.Strategy(i).Clone(), rounds, Tolerance, b.Eval)
+				for _, w := range []int{1, 2, 7} {
+					ev := core.NewEvaluator(inst)
+					ev.AttachPool(core.NewPool(inst, w))
+					got, err := (&LocalSearch{MaxIterations: maxIter}).BestResponse(ev, p, i)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !got.Strategy.Equal(want.Strategy) || got.Eval != want.Eval {
+						t.Fatalf("n=%d q=%v MaxIterations=%d peer %d w%d: %v %+v, want %v %+v",
+							c.n, c.q, maxIter, i, w, got.Strategy, got.Eval, want.Strategy, want.Eval)
+					}
+				}
+			}
+		}
+	}
+}

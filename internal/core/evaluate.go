@@ -301,7 +301,8 @@ type Evaluator struct {
 	// source masks, frontier lists and band row storage.
 	ms msScratch
 	// pool, when attached, fans the chunks of every multi-row settle
-	// (settleRows) across evaluator clones. See AttachPool.
+	// (settleRows) and of LocalStep's move scoring across the caller
+	// and the pool's helper clones. See AttachPool.
 	pool *Pool
 	// passEpoch names the row pass (settleRows) whose adjacency the last
 	// prepare built; 0 when that prepare belongs to no pass.
@@ -313,6 +314,8 @@ type Evaluator struct {
 	// build allocates nothing in steady state.
 	batchRows [][]float64
 	batch     DeviationBatch
+	// local is the DeviationBatch.LocalStep arena (localstep.go).
+	local localScratch
 }
 
 // smallFrontierMax is the peer count up to which ssspFrom uses the
@@ -347,13 +350,16 @@ func (ev *Evaluator) Clone() *Evaluator { return NewEvaluator(ev.inst) }
 // folds (SocialCost, SocialCostBanded, MaxTerm, TermMatrix, Connected,
 // the estimators), NewDeviationBatch's rest rows and the BatchCache's
 // dirty-row re-settles — fans its chunks (one source, or 64 on the
-// multi-source kernel) across the pool's evaluator clones. Each row
-// lands in the slot indexed by its source and the folds read them in
-// source order, so results are byte-identical at any width. Pass nil
-// to detach. The pool must be bound to the same instance. An attached
-// pool is always consulted; callers that attach one for a sequence of
-// operations (e.g. a replica loop) own its lifetime, and dynamics.Run
-// leaves a caller-attached pool in place instead of layering its own.
+// multi-source kernel) across the evaluator itself and the pool's
+// helper clones, and so does DeviationBatch.LocalStep's move scoring
+// above its work threshold. Each row lands in the slot indexed by its
+// source and the folds read them in source order (LocalStep reduces
+// its candidates in scan order), so results are byte-identical at any
+// width. Pass nil to detach. The pool must be bound to the same
+// instance. An attached pool is always consulted; callers that attach
+// one for a sequence of operations (e.g. a replica loop) own its
+// lifetime, and dynamics.Run leaves a caller-attached pool in place
+// instead of layering its own.
 func (ev *Evaluator) AttachPool(pl *Pool) { ev.pool = pl }
 
 // Pool returns the attached worker pool, or nil.

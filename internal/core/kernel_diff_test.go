@@ -703,10 +703,31 @@ func requireZeroAllocFolds(t *testing.T, ev *Evaluator, p Profile) {
 	}
 }
 
+// requireZeroAllocLocalStep checks that a warmed-up LocalStep of peer
+// i allocates nothing on ev (pooled or not).
+func requireZeroAllocLocalStep(t *testing.T, ev *Evaluator, p Profile, i int) {
+	t.Helper()
+	b := ev.NewDeviationBatch(p, i)
+	if b == nil {
+		t.Fatal("batch unsupported")
+	}
+	cur := p.Strategy(i)
+	e := b.Eval(cur)
+	step := func() { b.LocalStep(cur, e, 1e-9) }
+	step() // warm the arenas
+	if avg := testing.AllocsPerRun(10, step); avg != 0 {
+		t.Errorf("LocalStep of peer %d allocates %v per run, want 0", i, avg)
+	}
+}
+
 // TestZeroAllocKernelHotPaths pins the arena contract: once warmed up,
-// the all-pairs folds (unpooled and with a width-2 pool) and the
-// deviation-batch build allocate nothing, on every kernel.
+// the all-pairs folds (unpooled and with a width-2 pool), the
+// deviation-batch build and the fused local-search step allocate
+// nothing, on every kernel. The step's fan-out threshold is lowered so
+// the pooled step really fans out.
 func TestZeroAllocKernelHotPaths(t *testing.T) {
+	defer func(minWork int) { localFanMinWork = minWork }(localFanMinWork)
+	localFanMinWork = 0
 	r := rng.New(47)
 	for _, c := range []diffCase{
 		{name: "heap", n: 33, linkProb: 0.15},
@@ -731,6 +752,8 @@ func TestZeroAllocKernelHotPaths(t *testing.T) {
 			pooled := NewEvaluator(inst)
 			pooled.AttachPool(NewPool(inst, 2))
 			requireZeroAllocFolds(t, pooled, p)
+			requireZeroAllocLocalStep(t, ev, p, 1)
+			requireZeroAllocLocalStep(t, pooled, p, 1)
 		})
 	}
 	// A sparse star settles its rest rows on the multi-source kernel;
@@ -757,6 +780,8 @@ func TestZeroAllocKernelHotPaths(t *testing.T) {
 			}); avg != 0 {
 				t.Errorf("NewDeviationBatch allocates %v per run, want 0", avg)
 			}
+			requireZeroAllocLocalStep(t, ev, star, 0) // the centre
+			requireZeroAllocLocalStep(t, ev, star, 1) // a leaf
 		})
 	}
 }

@@ -222,9 +222,9 @@ func (ev *Evaluator) settleRows(p Profile, override int, alt Strategy, srcs []in
 // bitset adjacency slab is never built; dense graphs and the heap/dial
 // kernels run their per-source kernel. With an attached pool of width
 // ≥ 2 the chunks (64 sources, or one on the per-source kernels) fan
-// across its evaluator clones. Every row lands in the slot indexed by
-// its source and carries the same bits on either kernel, so dst is
-// byte-identical at any pool width.
+// across ev and the pool's helper clones. Every row lands in the slot
+// indexed by its source and carries the same bits on either kernel, so
+// dst is byte-identical at any pool width.
 func (ev *Evaluator) settlePass(rp *rowPass, srcs []int32, dst [][]float64) {
 	chunk := 1
 	if rp.multi {
@@ -232,7 +232,7 @@ func (ev *Evaluator) settlePass(rp *rowPass, srcs []int32, dst [][]float64) {
 	}
 	chunks := (len(srcs) + chunk - 1) / chunk
 	if pl := ev.pool; pl != nil && pl.Workers() > 1 && chunks > 1 {
-		pl.fanRows(rp, srcs, dst, chunk, chunks)
+		pl.fanRows(ev, rp, srcs, dst, chunk, chunks)
 		return
 	}
 	ev.preparePass(rp)

@@ -6,87 +6,176 @@ import (
 	"sync/atomic"
 )
 
+// coresBusy counts the taken slots of the process-wide core budget:
+// GOMAXPROCS slots shared by every fan-out that sizes itself to the
+// machine (budgeted pools, the scenario engine's point and experiment
+// workers). A budgeted fan-out starts a helper only for a slot it takes
+// without blocking, so concurrent callers share the cores instead of
+// multiplying goroutines, and cores a finished caller leaves idle go to
+// the ones still running.
+var coresBusy atomic.Int64
+
+// TryAcquireCore takes one slot of the core budget if one is free,
+// without blocking, and reports whether it did. A true return must be
+// paired with one ReleaseCore.
+func TryAcquireCore() bool {
+	limit := int64(runtime.GOMAXPROCS(0))
+	for {
+		busy := coresBusy.Load()
+		if busy >= limit {
+			return false
+		}
+		if coresBusy.CompareAndSwap(busy, busy+1) {
+			return true
+		}
+	}
+}
+
+// ReleaseCore returns a slot taken by TryAcquireCore.
+func ReleaseCore() { coresBusy.Add(-1) }
+
 // Pool is a fixed set of evaluator clones that an Evaluator fans its
-// row settles across once attached (AttachPool): the all-pairs folds,
-// the estimators and the deviation-batch rest rows all split into
-// chunks of sources that the workers claim from a shared counter. Each
-// worker prepares its own adjacency for the pass, and every row lands in
-// the slot indexed by its source, so results are bit-identical to the
-// unpooled evaluator at any width.
+// chunked work across once attached (AttachPool): the row settles of
+// the all-pairs folds, the estimators and the deviation-batch rest rows,
+// and the move scoring of DeviationBatch.LocalStep. The chunks are
+// claimed from a shared counter by the calling evaluator and the
+// helpers alike, and every result lands in a slot indexed by its chunk
+// (or source), so results are bit-identical to the unpooled evaluator
+// at any width.
 //
 // A Pool serves one fan-out at a time (like an Evaluator); the
 // concurrency is internal. The profile must not be mutated while a
 // fan-out runs.
 type Pool struct {
-	// job and workers back fanRows: the job state, and one pre-built
-	// closure per evaluator clone so starting a worker allocates no
-	// closure.
-	job     rowJob
-	workers []func()
+	// width is the fan-out concurrency, the caller included: width−1
+	// helper clones.
+	width int
+	// budgeted pools (NewPool with workers ≤ 0) start a helper only for
+	// a core slot taken without blocking; explicit widths start all of
+	// theirs.
+	budgeted bool
+	helpers  []*Evaluator
+	// job and run back fan: the job state, and one pre-built closure per
+	// helper so starting a helper allocates no closure.
+	job fanJob
+	run []func()
+	// rows is the task of the row-settle fan-out (settlePass).
+	rows rowTask
 }
 
-// NewPool creates a pool of `workers` evaluators over the instance.
-// workers <= 0 selects runtime.GOMAXPROCS(0).
+// NewPool creates a pool of fan-out width `workers` over the instance.
+// workers <= 0 selects runtime.GOMAXPROCS(0) under the process-wide
+// core budget: a fan-out then starts only the helpers it finds free
+// core slots for. An explicit width starts every helper regardless.
 func NewPool(inst *Instance, workers int) *Pool {
-	if workers <= 0 {
+	budgeted := workers <= 0
+	if budgeted {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	if n := inst.N(); workers > n {
 		workers = n
 	}
-	pl := &Pool{workers: make([]func(), workers)}
-	for i := range pl.workers {
+	pl := &Pool{width: workers, budgeted: budgeted}
+	for range workers - 1 {
 		ev := NewEvaluator(inst)
-		pl.workers[i] = func() { pl.rowWorker(ev) }
+		pl.helpers = append(pl.helpers, ev)
+		pl.run = append(pl.run, func() { pl.helper(ev) })
 	}
 	return pl
 }
 
 // Workers returns the pool's concurrency width.
-func (pl *Pool) Workers() int { return len(pl.workers) }
+func (pl *Pool) Workers() int { return pl.width }
 
-// rowJob is the in-flight fan-out of Evaluator.settlePass. It lives in
-// the pool, and the workers start through closures built once by
-// NewPool, so a fan-out allocates nothing in steady state.
-type rowJob struct {
-	pass   rowPass
-	srcs   []int32
-	dst    [][]float64
-	chunk  int
+// fanTask is one kind of chunked pool work: runChunk does chunk c on
+// evaluator ev (the caller's or a helper's).
+type fanTask interface {
+	runChunk(ev *Evaluator, c int)
+}
+
+// fanJob is the in-flight fan-out. It lives in the pool, so a fan-out
+// allocates nothing in steady state.
+type fanJob struct {
+	task   fanTask
 	chunks int
 	next   atomic.Int64
 	wg     sync.WaitGroup
 }
 
-// fanRows settles the rows of srcs into dst across the pool: each
-// started worker prepares the pass's graph once and claims chunks of
-// srcs from a shared counter. No more workers start than there are
-// chunks.
-func (pl *Pool) fanRows(rp *rowPass, srcs []int32, dst [][]float64, chunk, chunks int) {
+// fan runs chunks [0, chunks) of t across the caller's evaluator and
+// the pool's helpers, each claiming chunks from a shared counter. The
+// caller works its own share and then waits for its helpers in a defer,
+// so a panic in the caller's share never leaves helpers running on a
+// pool that gets reused. No more helpers start than there are chunks
+// beyond the caller's first.
+func (pl *Pool) fan(caller *Evaluator, t fanTask, chunks int) {
 	j := &pl.job
-	j.pass, j.srcs, j.dst = *rp, srcs, dst
-	j.chunk, j.chunks = chunk, chunks
+	j.task, j.chunks = t, chunks
 	j.next.Store(0)
-	workers := min(len(pl.workers), chunks)
-	j.wg.Add(workers)
-	for _, run := range pl.workers[:workers] {
+	defer pl.drain()
+	for _, run := range pl.run[:min(len(pl.run), chunks-1)] {
+		if pl.budgeted && !TryAcquireCore() {
+			break
+		}
+		j.wg.Add(1)
 		go run()
 	}
-	j.wg.Wait()
-	j.pass, j.srcs, j.dst = rowPass{}, nil, nil
+	pl.work(caller)
 }
 
-// rowWorker is one worker's loop of fanRows on evaluator ev.
-func (pl *Pool) rowWorker(ev *Evaluator) {
+// drain stops further claims (a no-op after a normal return, where
+// every chunk is claimed) and waits for the helpers.
+func (pl *Pool) drain() {
 	j := &pl.job
-	defer j.wg.Done()
+	j.next.Store(int64(j.chunks))
+	j.wg.Wait()
+	j.task = nil
+}
+
+// helper is one helper's run of the current fan-out on evaluator ev. A
+// budgeted helper returns its core slot on exit, before it signals the
+// caller.
+func (pl *Pool) helper(ev *Evaluator) {
+	defer pl.job.wg.Done()
+	if pl.budgeted {
+		defer ReleaseCore()
+	}
+	pl.work(ev)
+}
+
+// work claims and runs chunks of the current fan-out until none is left.
+func (pl *Pool) work(ev *Evaluator) {
+	j := &pl.job
 	for {
 		c := int(j.next.Add(1)) - 1
 		if c >= j.chunks {
 			return
 		}
-		ev.preparePass(&j.pass)
-		lo := c * j.chunk
-		ev.settleChunk(j.srcs[lo:min(lo+j.chunk, len(j.srcs))], j.dst, j.pass.multi)
+		j.task.runChunk(ev, c)
 	}
+}
+
+// rowTask is the row-settle fan-out of Evaluator.settlePass: each
+// evaluator prepares the pass's graph once and settles its claimed
+// chunks of srcs into dst.
+type rowTask struct {
+	pass  rowPass
+	srcs  []int32
+	dst   [][]float64
+	chunk int
+}
+
+func (t *rowTask) runChunk(ev *Evaluator, c int) {
+	ev.preparePass(&t.pass)
+	lo := c * t.chunk
+	ev.settleChunk(t.srcs[lo:min(lo+t.chunk, len(t.srcs))], t.dst, t.pass.multi)
+}
+
+// fanRows settles the rows of srcs into dst across the caller and the
+// pool.
+func (pl *Pool) fanRows(caller *Evaluator, rp *rowPass, srcs []int32, dst [][]float64, chunk, chunks int) {
+	t := &pl.rows
+	t.pass, t.srcs, t.dst, t.chunk = *rp, srcs, dst, chunk
+	pl.fan(caller, t, chunks)
+	*t = rowTask{}
 }

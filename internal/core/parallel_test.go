@@ -3,8 +3,11 @@ package core
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"selfishnet/internal/metric"
 	"selfishnet/internal/rng"
@@ -233,4 +236,81 @@ func TestEvaluatorCloneStress(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// panicTask panics in every chunk the calling evaluator claims; helper
+// chunks take a millisecond each, so the caller is sure to claim one.
+type panicTask struct {
+	caller *Evaluator
+	ran    atomic.Int64
+}
+
+func (t *panicTask) runChunk(ev *Evaluator, c int) {
+	if ev == t.caller {
+		panic("caller chunk")
+	}
+	time.Sleep(time.Millisecond)
+	t.ran.Add(1)
+}
+
+// TestCoreBudgetReturnsSlots: every core slot a budgeted pool's helpers
+// take is back once the fan-out returns — normally, and when the
+// caller's own share panics (the helpers are drained first, so the pool
+// is reusable). With every slot taken elsewhere, a budgeted fan-out
+// starts no helper and still completes; explicit widths take no slots.
+func TestCoreBudgetReturnsSlots(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	inst := poolTestInstance(t, 40)
+	p := poolTestProfile(40, 0.1)
+	want := NewEvaluator(inst).SocialCost(p)
+	for _, width := range []int{0, 3} {
+		ev := NewEvaluator(inst)
+		ev.AttachPool(NewPool(inst, width))
+		if got := ev.SocialCost(p); got != want {
+			t.Fatalf("width %d: SocialCost %+v, want %+v", width, got, want)
+		}
+		if busy := int(coresBusy.Load()); busy != 0 {
+			t.Fatalf("width %d: %d core slots still taken after a fan-out", width, busy)
+		}
+		task := &panicTask{caller: ev}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("width %d: the caller's chunk did not panic", width)
+				}
+			}()
+			ev.Pool().fan(ev, task, 64)
+		}()
+		ran := task.ran.Load()
+		time.Sleep(5 * time.Millisecond)
+		if task.ran.Load() != ran {
+			t.Fatalf("width %d: helpers still running after the fan-out returned", width)
+		}
+		if busy := int(coresBusy.Load()); busy != 0 {
+			t.Fatalf("width %d: %d core slots still taken after a panicking fan-out", width, busy)
+		}
+		if got := ev.SocialCost(p); got != want {
+			t.Fatalf("width %d: SocialCost after a panic %+v, want %+v", width, got, want)
+		}
+	}
+
+	held := 0
+	for TryAcquireCore() {
+		held++
+	}
+	if held != runtime.GOMAXPROCS(0) {
+		t.Fatalf("took %d core slots, want GOMAXPROCS = %d", held, runtime.GOMAXPROCS(0))
+	}
+	ev := NewEvaluator(inst)
+	ev.AttachPool(NewPool(inst, 0))
+	got := ev.SocialCost(p)
+	for range held {
+		ReleaseCore()
+	}
+	if got != want {
+		t.Fatalf("budgeted pool with no free slot: SocialCost %+v, want %+v", got, want)
+	}
+	if busy := int(coresBusy.Load()); busy != 0 {
+		t.Fatalf("%d core slots taken after release, want 0", busy)
+	}
 }

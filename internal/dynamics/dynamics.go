@@ -222,13 +222,19 @@ type Config struct {
 	// OnStep forces sequential execution so callbacks never run
 	// concurrently. Single runs (Run) are unaffected.
 	Parallelism int
-	// BatchWorkers is the intra-step parallelism of deviation-batch
-	// construction: the n−1 rest-SSSP rows behind each best-response
-	// oracle call fan across a core.Pool of this many evaluator clones.
-	// 0 selects runtime.GOMAXPROCS(0) when n ≥ BatchParallelMinPeers and
-	// sequential below; 1 forces sequential. Rows land in slots indexed
-	// by source, so oracle answers — and therefore trajectories — are
-	// byte-identical at any width. Parallel replica fan-out (Converge /
+	// BatchWorkers is the intra-step parallelism of each best-response
+	// oracle call: the n−1 rest-SSSP rows of its deviation batch, and
+	// the local-search oracle's move scoring, fan across a core.Pool of
+	// this width. 0 (auto) selects, when n ≥ BatchParallelMinPeers, a
+	// pool of all cores on the process-wide core budget: each fan-out
+	// starts only the helpers it finds free core slots for, so
+	// concurrent runs (e.g. a sweep's grid points) share the cores and a
+	// run left alone gets them all. Below the threshold auto is
+	// sequential; 1 forces sequential; larger values pin the width and
+	// start every helper regardless of the budget. Rows land in slots
+	// indexed by source and candidates are reduced in scan order, so
+	// oracle answers — and therefore trajectories — are byte-identical
+	// at any width. Parallel replica fan-out (Converge /
 	// WorstEquilibrium / Replicas with more than one worker) forces
 	// per-run sequential batches so the two levels never multiply.
 	BatchWorkers int
@@ -329,9 +335,11 @@ func RunContext(ctx context.Context, ev *core.Evaluator, start core.Profile, cfg
 	// that cannot serve a batch skip the attach entirely. A pool the
 	// caller already attached (e.g. replicaRuns reusing one across a
 	// sequential replica loop) is kept as-is.
-	if workers := batchWorkerCount(cfg.BatchWorkers, n); workers > 1 && ev.Pool() == nil && ev.Instance().SupportsBatchEval() {
-		ev.AttachPool(core.NewPool(ev.Instance(), workers))
-		defer ev.AttachPool(nil)
+	if ev.Pool() == nil {
+		if pl := batchPool(ev.Instance(), cfg.BatchWorkers); pl != nil {
+			ev.AttachPool(pl)
+			defer ev.AttachPool(nil)
+		}
 	}
 	if cfg.ForceFresh || (!cfg.ForceIncremental && n < IncrementalMinPeers) {
 		return runFresh(ctx, ev, start, cfg)
@@ -340,23 +348,28 @@ func RunContext(ctx context.Context, ev *core.Evaluator, start core.Profile, cfg
 }
 
 // BatchParallelMinPeers is the default size threshold for intra-step
-// parallel deviation-batch construction (Config.BatchWorkers = 0): a
-// batch build settles n−1 independent rest rows — one SSSP each, or
-// 64-source msbfs chunks on sparse uniform overlays — and below a few
-// hundred peers the fan-out overhead eats what the extra cores win. The switch is
+// parallel oracle calls (Config.BatchWorkers = 0): a batch build
+// settles n−1 independent rest rows — one SSSP each, or 64-source msbfs
+// chunks on sparse uniform overlays — and below a few hundred peers the
+// fan-out overhead eats what the extra cores win. The switch is
 // purely a performance heuristic — rows are reduced in source order,
 // so results are byte-identical at any width.
 const BatchParallelMinPeers = 256
 
-// batchWorkerCount resolves Config.BatchWorkers against the peer count.
-func batchWorkerCount(cfgWorkers, n int) int {
+// batchPool returns the batch pool a run with Config.BatchWorkers
+// cfgWorkers attaches, or nil for none: an explicit width above 1, or
+// a core-budgeted pool of all cores (core.NewPool with 0) for auto at n
+// ≥ BatchParallelMinPeers. Regimes without a deviation batch get none.
+func batchPool(inst *core.Instance, cfgWorkers int) *core.Pool {
 	switch {
+	case !inst.SupportsBatchEval():
+		return nil
 	case cfgWorkers > 1:
-		return cfgWorkers
-	case cfgWorkers == 0 && n >= BatchParallelMinPeers:
-		return runtime.GOMAXPROCS(0)
+		return core.NewPool(inst, cfgWorkers)
+	case cfgWorkers == 0 && inst.N() >= BatchParallelMinPeers && runtime.GOMAXPROCS(0) > 1:
+		return core.NewPool(inst, 0)
 	default:
-		return 1
+		return nil
 	}
 }
 
@@ -850,9 +863,11 @@ func replicaRuns(ctx context.Context, ev *core.Evaluator, cfg Config, runs int, 
 	if workers == 1 {
 		// Sequential replicas share one batch pool instead of each Run
 		// rebuilding it (and re-warming its clones' arenas) per replica.
-		if bw := batchWorkerCount(cfg.BatchWorkers, n); bw > 1 && ev.Pool() == nil && ev.Instance().SupportsBatchEval() {
-			ev.AttachPool(core.NewPool(ev.Instance(), bw))
-			defer ev.AttachPool(nil)
+		if ev.Pool() == nil {
+			if pl := batchPool(ev.Instance(), cfg.BatchWorkers); pl != nil {
+				ev.AttachPool(pl)
+				defer ev.AttachPool(nil)
+			}
 		}
 		for k := range reps {
 			results[k], errs[k] = RunContext(ctx, ev, reps[k].start, reps[k].cfg)

@@ -7,12 +7,14 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"selfishnet/internal/core"
 	"selfishnet/internal/scenario"
 )
 
@@ -316,5 +318,49 @@ func TestExecuteRecoversPanics(t *testing.T) {
 	}
 	if len(res.Results) != 0 {
 		t.Errorf("panic at the first point salvaged %d results, want 0", len(res.Results))
+	}
+}
+
+// TestPanickingPointReturnsCoreSlots: a point that panics after running
+// budgeted batch fan-outs (n ≥ dynamics.BatchParallelMinPeers,
+// batch_workers 0) is recovered by the worker with every core slot
+// back. (A panic inside a fan-out is covered by
+// core.TestCoreBudgetReturnsSlots.)
+func TestPanickingPointReturnsCoreSlots(t *testing.T) {
+	pts, err := testSweep().EnumeratePoints()
+	if err != nil {
+		t.Fatal(err)
+	}
+	big := scenario.Spec{
+		Name:     "big",
+		Seed:     1,
+		Metric:   scenario.MetricSpec{Family: "unit", N: 256},
+		Game:     scenario.GameSpec{Alpha: 4},
+		Start:    scenario.StartSpec{Kind: "star"},
+		Dynamics: scenario.DynamicsSpec{Oracle: "local-search", MaxSteps: 5},
+	}
+	w := &Worker{
+		Parallelism: 0,
+		RunPoint: func(ctx context.Context, _ scenario.Spec, _ []string, parallelism int) (scenario.PointResult, error) {
+			if _, err := scenario.RunPointContext(ctx, big, []string{"converged"}, parallelism); err != nil {
+				return scenario.PointResult{}, err
+			}
+			panic("after the fan-outs")
+		},
+	}
+	shard := &Shard{ID: "s-1", Points: pts[:1], Measures: testSweep().Measures()}
+	res := w.execute(context.Background(), shard)
+	if !strings.Contains(res.Error, "panic: after the fan-outs") {
+		t.Fatalf("panic not recovered into a shard error: %+v", res)
+	}
+	free := 0
+	for core.TryAcquireCore() {
+		free++
+	}
+	for range free {
+		core.ReleaseCore()
+	}
+	if free != runtime.GOMAXPROCS(0) {
+		t.Errorf("%d core slots free after a recovered point panic, want GOMAXPROCS = %d", free, runtime.GOMAXPROCS(0))
 	}
 }

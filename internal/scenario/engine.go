@@ -229,15 +229,6 @@ func runDeclarative(ctx context.Context, spec Spec, parallelism int) (*outcome, 
 	if err != nil {
 		return nil, err
 	}
-	batchWorkers := spec.Dynamics.BatchWorkers
-	if batchWorkers == 0 && parallelism > 0 {
-		// The engine splits the core budget between concurrent grid
-		// points / experiment ids and their internals (splitBudget); an
-		// auto batch pool must stay inside this run's share instead of
-		// claiming all cores on top of the point-level fan-out. With an
-		// unconstrained budget (parallelism ≤ 0) auto stays auto.
-		batchWorkers = parallelism
-	}
 	cfg := dynamics.Config{
 		Oracle:           oracle,
 		Policy:           policy,
@@ -245,7 +236,7 @@ func runDeclarative(ctx context.Context, spec Spec, parallelism int) (*outcome, 
 		MaxSteps:         maxSteps,
 		DetectCycles:     spec.Dynamics.DetectCycles,
 		Parallelism:      parallelism,
-		BatchWorkers:     batchWorkers,
+		BatchWorkers:     spec.Dynamics.BatchWorkers,
 		ForceFresh:       forceFresh,
 		ForceIncremental: forceIncremental,
 	}

@@ -5,6 +5,8 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+
+	"selfishnet/internal/core"
 )
 
 // splitBudget resolves a requested top-level parallelism against a task
@@ -12,8 +14,10 @@ import (
 // an internal fan-out of `inner`. requested ≤ 0 selects all cores. A
 // single task keeps the whole budget (so one experiment fans its
 // replicas at full width); many concurrent tasks on few cores each run
-// their internals sequentially. An explicit caller-set inner width
-// (explicitInner > 0) is respected as-is.
+// their replicas sequentially. An explicit caller-set inner width
+// (explicitInner > 0) is respected as-is. inner does not bound an auto
+// batch pool (batch_workers 0): that pool draws on the process-wide
+// core budget instead, so it widens as soon as other tasks finish.
 func splitBudget(requested, tasks, explicitInner int) (workers, inner int) {
 	if tasks <= 0 {
 		return 0, 1
@@ -49,8 +53,18 @@ func forEachIndex(n, workers int, fn func(int)) {
 // work while indices already claimed run to completion (the "drain
 // in-flight" convention the serve layer's job cancellation relies on).
 // It reports whether every index ran.
+//
+// Every worker — the caller itself when workers ≤ 1 — takes a slot of
+// the core budget (core.TryAcquireCore) if one is free, and starts
+// without one otherwise, so the width keeps its meaning. A worker
+// returns its slot when it finds no index left: the cores of finished
+// workers then go to the budgeted batch pools of the tasks still
+// running.
 func forEachIndexCtx(ctx context.Context, n, workers int, fn func(int)) bool {
 	if workers <= 1 {
+		if core.TryAcquireCore() {
+			defer core.ReleaseCore()
+		}
 		for i := 0; i < n; i++ {
 			if ctx.Err() != nil {
 				return false
@@ -65,6 +79,9 @@ func forEachIndexCtx(ctx context.Context, n, workers int, fn func(int)) bool {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			if core.TryAcquireCore() {
+				defer core.ReleaseCore()
+			}
 			for ctx.Err() == nil {
 				i := int(next.Add(1)) - 1
 				if i >= n {

@@ -342,11 +342,12 @@ type DynamicsSpec struct {
 	// produce byte-identical trajectories; the choice only affects
 	// wall-clock.
 	Engine string `json:"engine,omitempty"`
-	// BatchWorkers is the intra-step parallelism of deviation-batch
-	// construction (dynamics.Config.BatchWorkers): 0 selects all cores
-	// at n ≥ dynamics.BatchParallelMinPeers and sequential below, 1
-	// forces sequential, larger values pin the width. Byte-identical
-	// results at any value.
+	// BatchWorkers is the intra-step parallelism of each oracle call
+	// (dynamics.Config.BatchWorkers): 0 selects, at n ≥
+	// dynamics.BatchParallelMinPeers, all cores under the process-wide
+	// core budget — the cores other grid points leave idle — and
+	// sequential below; 1 forces sequential; larger values pin the
+	// width. Byte-identical results at any value.
 	BatchWorkers int `json:"batch_workers,omitempty"`
 }
 
