@@ -16,19 +16,20 @@ import (
 	"selfishnet/internal/construct"
 	"selfishnet/internal/core"
 	"selfishnet/internal/dynamics"
-	"selfishnet/internal/experiments"
+	_ "selfishnet/internal/experiments" // registers the paper runners in the scenario catalog
 	"selfishnet/internal/metric"
 	"selfishnet/internal/nash"
 	"selfishnet/internal/opt"
 	"selfishnet/internal/overlay"
 	"selfishnet/internal/rng"
+	"selfishnet/internal/scenario"
 )
 
 // benchExperiment runs one experiment table per iteration (quick mode).
 func benchExperiment(b *testing.B, id string) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
-		tb, err := experiments.Run(id, experiments.Params{Quick: true, Seed: 1})
+		tb, err := scenario.Run(id, scenario.Params{Quick: true, Seed: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -517,7 +518,7 @@ func BenchmarkRunAllQuick(b *testing.B) {
 	// The whole reproduction harness, all 13 experiments, quick mode,
 	// default parallelism.
 	for i := 0; i < b.N; i++ {
-		tables, err := experiments.RunAll(nil, experiments.Params{Quick: true, Seed: 1}, 0)
+		tables, err := scenario.RunAll(nil, scenario.Params{Quick: true, Seed: 1}, 0)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -115,26 +115,18 @@ func (o *Exact) BestResponse(ev *core.Evaluator, p core.Profile, i int) (Result,
 		return Result{}, fmt.Errorf("bestresponse: peer %d out of range [0,%d)", i, n)
 	}
 	if b := ev.NewDeviationBatch(p, i); b != nil {
-		return o.bestResponseStack(ev, b, p, i)
+		return o.bestResponseStack(b, p, i)
 	}
 	return o.bestResponseScan(ev, p, i)
 }
 
 // bestResponseStack delegates the batch-backed search to the fused
 // core kernel (see core.DeviationBatch.ExactSearch), which owns the
-// prefix-sharing folds, the suffix-min subtree bound and the bounded
-// candidate evaluation. This function supplies the model lower-bound
-// sum and maps budget/count semantics onto the Oracle contract.
-func (o *Exact) bestResponseStack(ev *core.Evaluator, b *core.DeviationBatch, p core.Profile, i int) (Result, error) {
-	inst := ev.Instance()
-	n := inst.N()
-	sumLB := 0.0
-	for j := 0; j < n; j++ {
-		if j != i {
-			sumLB += inst.Model().LowerBound(inst.Distance(i, j))
-		}
-	}
-	out := b.ExactSearch(p.Strategy(i), sumLB, Tolerance, o.MaxEvaluations)
+// prefix-sharing folds, the suffix-min subtree bound, the bounded
+// candidate evaluation and the cardinality bound. This function maps
+// budget/count semantics onto the Oracle contract.
+func (o *Exact) bestResponseStack(b *core.DeviationBatch, p core.Profile, i int) (Result, error) {
+	out := b.ExactSearch(p.Strategy(i), nil, Tolerance, o.MaxEvaluations)
 	o.lastEvals = out.Resolved
 	if out.OverBudget {
 		return Result{}, ErrBudgetExceeded
@@ -148,13 +140,6 @@ func (o *Exact) bestResponseStack(ev *core.Evaluator, b *core.DeviationBatch, p 
 func (o *Exact) bestResponseScan(ev *core.Evaluator, p core.Profile, i int) (Result, error) {
 	inst := ev.Instance()
 	n := inst.N()
-	sumLB := 0.0
-	for j := 0; j < n; j++ {
-		if j != i {
-			sumLB += inst.Model().LowerBound(inst.Distance(i, j))
-		}
-	}
-
 	o.lastEvals = 0
 	budget := o.MaxEvaluations
 	scorer := func(s core.Strategy) core.Eval { return ev.DeviationEval(p, i, s) }
@@ -175,6 +160,7 @@ func (o *Exact) bestResponseScan(ev *core.Evaluator, p core.Profile, i int) (Res
 			candidates = append(candidates, j)
 		}
 	}
+	sumLB := inst.LowerBoundSum(i, candidates)
 
 	full := bitset.FromSlice(candidates)
 	c, ok := score(full)
@@ -265,7 +251,7 @@ func (o *LocalSearch) BestResponse(ev *core.Evaluator, p core.Profile, i int) (R
 	cur := p.Strategy(i).Clone()
 	b := ev.NewDeviationBatch(p, i)
 	if b == nil {
-		return localScan(n, i, cur, maxIter, Tolerance, func(s core.Strategy) core.Eval { return ev.DeviationEval(p, i, s) }), nil
+		return LocalScan(n, i, cur, nil, maxIter, func(s core.Strategy) core.Eval { return ev.DeviationEval(p, i, s) }), nil
 	}
 	curEval := b.Eval(cur)
 	for iter := 0; iter < maxIter; iter++ {
@@ -279,11 +265,16 @@ func (o *LocalSearch) BestResponse(ev *core.Evaluator, p core.Profile, i int) (R
 	return Result{Strategy: cur, Eval: curEval}, nil
 }
 
-// localScan is the per-candidate local search: up to maxIter rounds,
-// each scoring every add, drop and swap of cur through scorer in
+// LocalScan is the add/drop/swap hill climb that scores each candidate
+// separately: up to maxIter rounds, each scoring every add, drop and
+// swap of peer i's strategy cur (over n peers) through scorer in
 // LocalStep's scan order and moving to the winner of the running
-// Better(best, tol) rule.
-func localScan(n, i int, cur core.Strategy, maxIter int, tol float64, scorer func(core.Strategy) core.Eval) Result {
+// Better(best, Tolerance) rule. active, when non-nil, restricts the
+// moves to the targets it marks — the churn engine's climb in the
+// online subgame. It serves instances without a deviation batch and
+// churn's exact searches that ran out of budget.
+func LocalScan(n, i int, cur core.Strategy, active []bool, maxIter int, scorer func(core.Strategy) core.Eval) Result {
+	target := func(j int) bool { return j != i && (active == nil || active[j]) }
 	curEval := scorer(cur)
 	for iter := 0; iter < maxIter; iter++ {
 		bestMove := cur
@@ -291,13 +282,13 @@ func localScan(n, i int, cur core.Strategy, maxIter int, tol float64, scorer fun
 		improved := false
 		try := func(s core.Strategy) {
 			c := scorer(s)
-			if c.Better(bestEval, tol) {
+			if c.Better(bestEval, Tolerance) {
 				bestMove, bestEval = s.Clone(), c
 				improved = true
 			}
 		}
 		for j := 0; j < n; j++ {
-			if j == i {
+			if !target(j) {
 				continue
 			}
 			if cur.Contains(j) {
@@ -306,7 +297,7 @@ func localScan(n, i int, cur core.Strategy, maxIter int, tol float64, scorer fun
 				try(cur)
 				// Swap j for each absent k.
 				for k := 0; k < n; k++ {
-					if k != i && k != j && !cur.Contains(k) {
+					if k != j && target(k) && !cur.Contains(k) {
 						cur.Add(k)
 						try(cur)
 						cur.Remove(k)

@@ -345,7 +345,7 @@ func TestLocalSearchMatchesScan(t *testing.T) {
 				if rounds == 0 {
 					rounds = c.n*c.n + c.n + 1
 				}
-				want := localScan(c.n, i, p.Strategy(i).Clone(), rounds, Tolerance, b.Eval)
+				want := LocalScan(c.n, i, p.Strategy(i).Clone(), nil, rounds, b.Eval)
 				for _, w := range []int{1, 2, 7} {
 					ev := core.NewEvaluator(inst)
 					ev.AttachPool(core.NewPool(inst, w))

@@ -338,36 +338,6 @@ func TestOpenCrashRecovery(t *testing.T) {
 	}
 }
 
-func TestPlacementMetadata(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ring := NewRing([]string{"node-a", "node-b", "node-c"}, 0)
-	s.SetRing(ring)
-	if err := s.Put("point", h("a"), []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	owner := s.Owner("point", h("a"))
-	if owner == "" {
-		t.Fatal("no owner recorded with a ring installed")
-	}
-	if want := ring.Owner("point/" + h("a")); owner != want {
-		t.Fatalf("store owner %q, ring owner %q", owner, want)
-	}
-	// The owner is persisted in the index and survives reopen.
-	s2, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range s2.Entries() {
-		if e.Hash == h("a") && e.Owner != owner {
-			t.Fatalf("persisted owner %q, want %q", e.Owner, owner)
-		}
-	}
-}
-
 func TestConcurrentPutsAndGets(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {

@@ -17,12 +17,15 @@
 //     offline peers own no live links and receive none.
 //
 // Repairs and stabilization are best responses in the subgame induced
-// on the online peers (core's masked evaluation, see core/active.go):
-// in the batched regime the exact fused search
-// (DeviationBatch.ExactSearchActive), otherwise a masked add/drop/swap
-// hill climb. A repair rewrites the peer's stored memory, which is how
-// the overlay simulator's selfish repair becomes a real best response
-// instead of a heuristic against a snapshot.
+// on the online peers: in the batched regime the exact fused search
+// (core.DeviationBatch.ExactSearch with the online mask), otherwise the
+// add/drop/swap hill climb over online targets
+// (bestresponse.LocalScan). Both score through the unmasked evaluators:
+// the live invariant leaves every offline peer unreachable, so an
+// online peer's Eval in the subgame is core.Eval.Online of its Eval
+// over everyone. A repair rewrites the peer's stored memory, which is
+// how the overlay simulator's selfish repair becomes a real best
+// response instead of a heuristic against a snapshot.
 package churn
 
 import (
@@ -47,7 +50,7 @@ const (
 	RepairNearest
 	// RepairSelfish replays the game: the repairing peer adopts a best
 	// response in the subgame induced on the online peers (exact in the
-	// batched regime, masked local search otherwise).
+	// batched regime, the hill climb over online targets otherwise).
 	RepairSelfish
 )
 
@@ -79,11 +82,11 @@ func ParseRepairKind(name string) (RepairKind, error) {
 	}
 }
 
-// DefaultSearchBudget bounds the exact masked search per best
-// response (candidates resolved, bulk-pruned ones included). Exact
-// search degrades to exponential when the cardinality bound is loose —
+// DefaultSearchBudget bounds the exact search per best response
+// (candidates resolved, bulk-pruned ones included). Exact search
+// degrades to exponential when the cardinality bound is loose —
 // mid-churn profiles at large n can do that — so the engine falls back
-// to the masked hill climb past the budget instead of hanging.
+// to the hill climb past the budget instead of hanging.
 const DefaultSearchBudget = 1 << 16
 
 // Engine is the event-stream engine. Create with NewEngine; drive it
@@ -97,9 +100,9 @@ type Engine struct {
 	online []bool
 	count  int
 
-	// SearchBudget bounds each exact masked search; past it the best
-	// response falls back to the masked hill climb (still
-	// deterministic, no longer globally optimal). ≤ 0 means unbounded.
+	// SearchBudget bounds each exact search; past it the best response
+	// falls back to the hill climb (still deterministic, no longer
+	// globally optimal). ≤ 0 means unbounded.
 	// NewEngine sets DefaultSearchBudget.
 	SearchBudget int
 }
@@ -147,10 +150,6 @@ func (e *Engine) Online(v int) bool { return e.online[v] }
 // NumOnline returns the number of online peers.
 func (e *Engine) NumOnline() int { return e.count }
 
-// ActiveMask returns the online mask. The slice is engine-owned; do
-// not mutate it.
-func (e *Engine) ActiveMask() []bool { return e.online }
-
 // Live returns the current live profile (live = stored ∩ online). The
 // value shares storage with the engine; do not mutate it.
 func (e *Engine) Live() core.Profile { return e.dy.Profile() }
@@ -159,11 +158,15 @@ func (e *Engine) Live() core.Profile { return e.dy.Profile() }
 // offline peers. The value shares storage; do not mutate it.
 func (e *Engine) Stored() core.Profile { return e.stored }
 
-// PeerEval returns peer v's enriched cost in the online subgame, O(n)
-// from the maintained distance row.
+// PeerEval returns online peer v's enriched cost in the online
+// subgame, O(n) from the maintained distance row.
 func (e *Engine) PeerEval(v int) core.Eval {
-	return e.dy.PeerEvalActive(v, e.online)
+	return e.dy.PeerEval(v).Online(e.offline())
 }
+
+// offline returns the number of offline peers: every online peer's
+// offline partners, all unreachable under the live invariant.
+func (e *Engine) offline() int { return e.N() - e.count }
 
 // Distances returns peer v's maintained SSSP row over the live
 // overlay — no recomputation. The slice is engine-owned; do not mutate
@@ -265,91 +268,31 @@ func (e *Engine) Join(v int) ([]int, error) {
 	return affected, nil
 }
 
-// maskedSumLB sums the model's per-pair lower bounds over v's online
-// partners — the sumLB contract of ExactSearchActive.
-func (e *Engine) maskedSumLB(v int) float64 {
-	sum := 0.0
-	for j := 0; j < e.N(); j++ {
-		if j != v && e.online[j] {
-			sum += e.inst.Model().LowerBound(e.inst.Distance(v, j))
-		}
-	}
-	return sum
-}
-
 // BestResponseActive computes peer v's best response in the subgame
 // induced on the online peers: the exact fused search in the batched
-// regime (directed, congestion-free), a masked add/drop/swap hill
-// climb otherwise or when the exact search exceeds SearchBudget. The
-// returned strategy links to online peers only.
+// regime (directed, congestion-free), the add/drop/swap hill climb over
+// online targets otherwise or when the exact search exceeds
+// SearchBudget. The returned strategy links to online peers only.
 func (e *Engine) BestResponseActive(v int) (core.Strategy, core.Eval, error) {
 	if !e.online[v] {
 		return core.Strategy{}, core.Eval{}, fmt.Errorf("churn: peer %d is offline", v)
 	}
 	live := e.dy.Profile()
+	offline := e.offline()
+	var score func(core.Strategy) core.Eval
 	if b := e.ev.NewDeviationBatch(live, v); b != nil {
-		out := b.ExactSearchActive(live.Strategy(v), e.online, e.maskedSumLB(v), bestresponse.Tolerance, e.SearchBudget)
+		out := b.ExactSearch(live.Strategy(v), e.online, bestresponse.Tolerance, e.SearchBudget)
 		if !out.OverBudget {
 			return out.Strategy, out.Eval, nil
 		}
 		// Over budget: hill-climb on the batch's O(|s|·n) scorer instead.
-		return e.maskedLocalSearch(v, func(s core.Strategy) core.Eval {
-			return b.EvalActive(s, e.online)
-		})
+		score = func(s core.Strategy) core.Eval { return b.Eval(s).Online(offline) }
+	} else {
+		score = func(s core.Strategy) core.Eval { return e.ev.DeviationEval(live, v, s).Online(offline) }
 	}
-	return e.maskedLocalSearch(v, func(s core.Strategy) core.Eval {
-		return e.ev.DeviationEvalActive(live, v, s, e.online)
-	})
-}
-
-// maskedLocalSearch is the fallback best response — for regimes
-// without a deviation batch and for over-budget exact searches:
-// bestresponse.LocalSearch's add/drop/swap hill climb, with candidates
-// restricted to online peers and every score masked to the online
-// subgame.
-func (e *Engine) maskedLocalSearch(v int, score func(core.Strategy) core.Eval) (core.Strategy, core.Eval, error) {
 	n := e.N()
-	live := e.dy.Profile()
-	cur := live.Strategy(v).Clone()
-	curEval := score(cur)
-	for iter := 0; iter < n*n+n+1; iter++ {
-		bestMove := cur
-		bestEval := curEval
-		improved := false
-		try := func(s core.Strategy) {
-			c := score(s)
-			if c.Better(bestEval, bestresponse.Tolerance) {
-				bestMove, bestEval = s.Clone(), c
-				improved = true
-			}
-		}
-		for j := 0; j < n; j++ {
-			if j == v || !e.online[j] {
-				continue
-			}
-			if cur.Contains(j) {
-				cur.Remove(j)
-				try(cur)
-				for k := 0; k < n; k++ {
-					if k != v && k != j && e.online[k] && !cur.Contains(k) {
-						cur.Add(k)
-						try(cur)
-						cur.Remove(k)
-					}
-				}
-				cur.Add(j)
-			} else {
-				cur.Add(j)
-				try(cur)
-				cur.Remove(j)
-			}
-		}
-		if !improved {
-			break
-		}
-		cur, curEval = bestMove, bestEval
-	}
-	return cur, curEval, nil
+	res := bestresponse.LocalScan(n, v, live.Strategy(v).Clone(), e.online, n*n+n+1, score)
+	return res.Strategy, res.Eval, nil
 }
 
 // adopt installs strategy s as peer v's new play: stored memory is
@@ -465,10 +408,11 @@ func (e *Engine) Stabilize(maxMoves int) (moves int, converged bool, err error) 
 	}
 }
 
-// CheckAgainstFresh compares every maintained distance row and masked
-// peer eval against a from-scratch evaluation of the live profile on a
+// CheckAgainstFresh compares every maintained distance row and peer
+// eval against a from-scratch evaluation of the live profile on a
 // fresh evaluator — the differential invariant behind the whole
-// engine. Any deviation (bit-for-bit, no tolerance) is an error.
+// engine (the subgame evals are a pure map of these). Any deviation
+// (bit-for-bit, no tolerance) is an error.
 func (e *Engine) CheckAgainstFresh(fresh *core.Evaluator) error {
 	live := e.dy.Profile()
 	n := e.N()
@@ -484,8 +428,8 @@ func (e *Engine) CheckAgainstFresh(fresh *core.Evaluator) error {
 					src, j, got[j], want[j])
 			}
 		}
-		if ge, we := e.PeerEval(src), fresh.PeerEvalActive(live, src, e.online); ge != we {
-			return fmt.Errorf("churn: masked eval of %d drifted: incremental %+v, fresh %+v", src, ge, we)
+		if ge, we := e.dy.PeerEval(src), fresh.PeerEval(live, src); ge != we {
+			return fmt.Errorf("churn: eval of %d drifted: incremental %+v, fresh %+v", src, ge, we)
 		}
 	}
 	return nil

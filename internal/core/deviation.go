@@ -100,8 +100,7 @@ func (b *DeviationBatch) Eval(alt Strategy) Eval {
 }
 
 // fold computes the deviation distances d[j] = min_{k∈alt} (d(i,k) +
-// rest[k][j]) into the batch's scratch row, shared by Eval and
-// EvalActive (active.go).
+// rest[k][j]) into the batch's scratch row.
 func (b *DeviationBatch) fold(alt Strategy) []float64 {
 	d := b.d
 	n := len(d)
@@ -126,22 +125,22 @@ func (b *DeviationBatch) fold(alt Strategy) []float64 {
 	return d
 }
 
-// maxSuffixMinFloats caps the memory of a SuffixMins table (the
-// branch-and-bound helper): beyond it the exact oracle runs unpruned,
-// which at such sizes it effectively cannot anyway.
+// maxSuffixMinFloats caps the memory of a suffix-min table: beyond it
+// the exact search runs without the subtree bound, which at such sizes
+// it effectively cannot finish anyway.
 const maxSuffixMinFloats = 1 << 20
 
-// SuffixBound holds, for every suffix of the exact oracle's candidate
+// suffixBound holds, for every suffix of the exact search's candidate
 // list, the pointwise-minimal single-link deviation terms:
 //
-//	term[ci][j] = model term of (min over k ∈ candidates[ci:] of d(i,k) + rest[k][j])
+//	term[ci][j] = min(start[j], model term of min over k ∈ candidates[ci:] of d(i,k) + rest[k][j])
 //
-// (term[len][j] = +Inf). Any strategy drawing links only from
+// (term[len] = start). Any strategy drawing links only from
 // candidates[ci:] has a per-pair term of at least term[ci][j]: the
 // model term is monotone in the distance, and division by a positive
 // direct distance commutes with min exactly in floating point, so the
 // bound composes with Eval's arithmetic without slack.
-type SuffixBound struct {
+type suffixBound struct {
 	term [][]float64
 	// sum[ci] is the Eval-ordered sum of term[ci] (Σ_{j≠i}), an upper
 	// bound on any bound partial that uses suffix ci: when link + sum[ci]
@@ -149,27 +148,21 @@ type SuffixBound struct {
 	// prefix fold can reach it either, so the O(n) bound scan is skipped.
 	sum []float64
 	// single[ci] is the full Eval of the single-link strategy
-	// {candidates[ci]} with the Link part left zero (the caller adds
-	// α·1). Accumulated during the same pass that builds the rows, it
-	// makes the exact oracle's cardinality-1 level scan-free.
+	// {candidates[ci]} over every partner, with the Link part left zero
+	// (the caller adds α·1). Accumulated during the same pass that
+	// builds the rows, it makes the exact search's cardinality-1 level
+	// scan-free.
 	single []Eval
 }
 
-// SuffixMins builds the SuffixBound for the candidate list. Returns nil
-// when the model is not a built-in monotone one (no sound bound) or the
-// table would exceed the memory cap.
-func (b *DeviationBatch) SuffixMins(candidates []int) *SuffixBound {
-	return b.suffixMins(candidates, nil)
-}
-
-// suffixMins is SuffixMins with an optional active mask: the rows fold
-// all columns (unread inactive entries are harmless) but the sums and
-// single-link Evals accumulate active partners only, matching the
-// masked Eval order the active exact search compares against.
-func (b *DeviationBatch) suffixMins(candidates []int, active []bool) *SuffixBound {
+// suffixMins builds the suffixBound for the candidate list, folding
+// every row down from start, the search's base term row. The model
+// must be a built-in monotone one (no other has a sound bound). Returns
+// nil when the table would exceed the memory cap.
+func (b *DeviationBatch) suffixMins(candidates []int, start []float64) *suffixBound {
 	n := len(b.d)
 	m := len(candidates)
-	if !b.ev.builtinMonotoneModel() || (m+1)*n > maxSuffixMinFloats {
+	if (m+1)*n > maxSuffixMinFloats {
 		return nil
 	}
 	ev := b.ev
@@ -190,9 +183,7 @@ func (b *DeviationBatch) suffixMins(candidates []int, active []bool) *SuffixBoun
 	}
 	single := ev.suffixSingle[:m]
 	last := flat[m*n:]
-	for j := range last {
-		last[j] = math.Inf(1)
-	}
+	copy(last, start)
 	out[m] = last
 	row := ev.inst.distRow(b.i)
 	stretch := ev.inst.modelKind == modelStretch
@@ -214,8 +205,7 @@ func (b *DeviationBatch) suffixMins(candidates []int, active []bool) *SuffixBoun
 				if stretch {
 					t /= row[j]
 				}
-				counted := j != b.i && (active == nil || active[j])
-				if counted {
+				if j != b.i {
 					se.Cost.Term += t
 					if math.IsInf(t, 1) {
 						se.Unreachable++
@@ -227,7 +217,7 @@ func (b *DeviationBatch) suffixMins(candidates []int, active []bool) *SuffixBoun
 					t = prev[j]
 				}
 				cur[j] = t
-				if counted {
+				if j != b.i {
 					acc += t
 				}
 			}
@@ -236,5 +226,5 @@ func (b *DeviationBatch) suffixMins(candidates []int, active []bool) *SuffixBoun
 		single[ci] = se
 		out[ci] = cur
 	}
-	return &SuffixBound{term: out, sum: sums, single: single}
+	return &suffixBound{term: out, sum: sums, single: single}
 }

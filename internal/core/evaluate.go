@@ -228,6 +228,17 @@ func (in *Instance) Alpha() float64 { return in.alpha }
 // Model returns the cost model.
 func (in *Instance) Model() CostModel { return in.model }
 
+// LowerBoundSum sums the model's per-pair lower bounds from peer i to
+// each of targets, in order: the cardinality bound's Σ term of the
+// exact best-response search over those candidate links.
+func (in *Instance) LowerBoundSum(i int, targets []int) float64 {
+	sum := 0.0
+	for _, j := range targets {
+		sum += in.model.LowerBound(in.Distance(i, j))
+	}
+	return sum
+}
+
 // Space returns the underlying metric space.
 func (in *Instance) Space() metric.Space { return in.space }
 
@@ -278,8 +289,8 @@ type Evaluator struct {
 	// batchCache, when attached by a DynEval, persists deviation-batch
 	// rest rows across oracle calls (see batchcache.go). Nil by default.
 	batchCache *BatchCache
-	// Scratch for the exact oracle's stack search (one live
-	// DeviationStack / SuffixMins table per evaluator at a time).
+	// Scratch for the exact oracle's search (one live ExactSearch per
+	// evaluator at a time).
 	stackLevels  []float64
 	stackTerms   []float64
 	suffixFlat   []float64
@@ -650,6 +661,24 @@ type Eval struct {
 
 // Key returns the finite comparable cost: Link + FiniteTerm.
 func (e Eval) Key() float64 { return e.Cost.Link + e.FiniteTerm }
+
+// Online maps an online peer's Eval over every partner to its Eval in
+// the subgame induced on the online peers, given how many of its
+// partners are offline. It holds when no path reaches an offline peer
+// (no link touches one: the churn engine's live-profile invariant,
+// with candidate strategies over online targets). Each offline term is
+// then +Inf, which FiniteTerm already leaves out in the same column
+// order, so the map only stops counting those partners as unreachable
+// and makes Term the finite sum once every online partner is reached.
+func (e Eval) Online(offline int) Eval {
+	e.Unreachable -= offline
+	if e.Unreachable == 0 {
+		e.Cost.Term = e.FiniteTerm
+	} else {
+		e.Cost.Term = math.Inf(1)
+	}
+	return e
+}
 
 // Better reports whether e is strictly better than o: it reaches
 // strictly more peers, or reaches the same number at a cost smaller by

@@ -42,29 +42,29 @@ type ExactSearchOutcome struct {
 // All three devices are floating-point-exact, so the outcome — and the
 // Resolved count, with bulk-pruned candidates counted as resolved — is
 // bit-identical to the unpruned enumeration. The classic cardinality
-// bound α·k + sumLB (per-pair model lower bounds, supplied by the
-// caller) terminates the cardinality loop exactly as it always has.
+// bound α·k + Σ model lower bounds over the candidates terminates the
+// cardinality loop exactly as it always has.
+//
+// active, when non-nil, restricts the search to the subgame induced on
+// the peers it marks (the churn engine's repair oracle): candidates are
+// drawn from active peers only, and every Eval — the incumbent's, the
+// leaves' and the bounds' — counts active partners only. It must mark
+// the batch peer, and the batch's profile must have no link touching an
+// inactive peer, so no candidate reaches one. The mask enters once, in
+// the starting rows: an inactive column of the base distance and term
+// levels and of the suffix-min rows starts at 0 instead of +Inf. Both
+// built-in terms map 0 to +0, and adding +0 leaves every partial sum
+// and threshold test unchanged, so the bounded passes give the same
+// bits as skipping the column. A custom model (never bounded) keeps
+// +Inf columns, and its evals take the Eval.Online map.
 //
 // budget > 0 bounds Resolved; crossing it aborts with OverBudget at the
 // same candidate the unpruned enumeration would have died on.
-func (b *DeviationBatch) ExactSearch(incumbent Strategy, sumLB, tol float64, budget int) ExactSearchOutcome {
-	return b.ExactSearchActive(incumbent, nil, sumLB, tol, budget)
-}
-
-// ExactSearchActive is ExactSearch restricted to an active peer subset:
-// candidates are drawn from active peers only and every Eval — the
-// incumbent's, the leaves' and the pruning bounds' — is masked to
-// active partners (see active.go for the masking conventions). sumLB
-// must sum the model lower bounds over active partners only. With
-// active == nil it is exactly ExactSearch. This is the churn engine's
-// repair oracle: a best response in the subgame induced on the online
-// peers, with every pruning device still live because masked
-// connectivity (reaching all active peers) replaces global
-// connectivity.
-func (b *DeviationBatch) ExactSearchActive(incumbent Strategy, active []bool, sumLB, tol float64, budget int) ExactSearchOutcome {
+func (b *DeviationBatch) ExactSearch(incumbent Strategy, active []bool, tol float64, budget int) ExactSearchOutcome {
 	ev := b.ev
 	inst := ev.inst
 	n := inst.n
+	monotone := ev.builtinMonotoneModel()
 	s := exactSearch{
 		b:       b,
 		n:       n,
@@ -74,55 +74,58 @@ func (b *DeviationBatch) ExactSearchActive(incumbent Strategy, active []bool, su
 		stretch: inst.modelKind == modelStretch,
 		tol:     tol,
 		budget:  budget,
-		active:  active,
 	}
 
+	if cap(ev.stackLevels) < n*n {
+		ev.stackLevels = make([]float64, n*n)
+	}
 	if cap(ev.candScratch) < n {
 		ev.candScratch = make([]int, 0, n)
 	}
+	// Draw the candidates and set up the base distance level in one
+	// pass: the only place the search reads the mask.
+	offStart := 0.0
+	if !monotone {
+		offStart = math.Inf(1)
+	}
+	base := ev.stackLevels[:n]
 	s.candidates = ev.candScratch[:0]
 	for j := 0; j < n; j++ {
-		if j != s.i && (active == nil || active[j]) {
+		switch {
+		case j == s.i:
+			base[j] = 0
+		case active == nil || active[j]:
 			s.candidates = append(s.candidates, j)
+			base[j] = math.Inf(1)
+		default:
+			base[j] = offStart
 		}
 	}
 	ev.candScratch = s.candidates
 	m := len(s.candidates)
 	s.m = m
-
-	if cap(ev.stackLevels) < (m+1)*n {
-		ev.stackLevels = make([]float64, (m+1)*n)
-	}
+	s.offline = n - 1 - m
 	s.levels = ev.stackLevels[:(m+1)*n]
-	base := s.levels[:n]
-	for j := range base {
-		base[j] = math.Inf(1)
-	}
-	base[s.i] = 0
-
-	monotone := ev.builtinMonotoneModel()
 	if monotone {
 		if cap(ev.stackTerms) < (m+1)*n {
 			ev.stackTerms = make([]float64, (m+1)*n)
 		}
 		s.terms = ev.stackTerms[:(m+1)*n]
-		tbase := s.terms[:n]
-		for j := range tbase {
-			tbase[j] = math.Inf(1)
+		copy(s.terms[:n], base) // both built-in terms map 0 to 0 and +Inf to +Inf
+		if sb := b.suffixMins(s.candidates, s.terms[:n]); sb != nil {
+			s.suffix = sb.term
+			s.suffixSum = sb.sum
+			s.single = sb.single
 		}
-		tbase[s.i] = 0
+	} else {
+		s.infCols = s.offline
 	}
 
-	s.setBest(incumbent.Clone(), b.EvalActive(incumbent, active))
+	s.setBest(incumbent.Clone(), b.Eval(incumbent).Online(s.offline))
 
 	// The full strategy (link to everyone) reaches all peers at the term
 	// lower bound exactly, under both models; scoring it early makes the
 	// incumbent connected, which tightens every pruning device.
-	if sb := b.suffixMins(s.candidates, active); sb != nil {
-		s.suffix = sb.term
-		s.suffixSum = sb.sum
-		s.single = sb.single
-	}
 	if !s.spend(1) {
 		return ExactSearchOutcome{Resolved: s.resolved, OverBudget: true}
 	}
@@ -134,12 +137,13 @@ func (b *DeviationBatch) ExactSearchActive(incumbent Strategy, active []bool, su
 		// with the monotone term), so the full eval is one summation.
 		fullEval = s.evalFromTerms(s.suffix[0], m)
 	} else {
-		fullEval = b.EvalActive(full, active)
+		fullEval = b.Eval(full).Online(s.offline)
 	}
 	if fullEval.Better(s.bestEval, tol) {
 		s.setBest(full, fullEval)
 	}
 
+	sumLB := inst.LowerBoundSum(s.i, s.candidates)
 	s.cur = bitset.New(n)
 	for k := 0; k <= m; k++ {
 		// Cardinality pruning: the cheapest conceivable strategy with k
@@ -172,7 +176,7 @@ func (b *DeviationBatch) ExactSearchActive(incumbent Strategy, active []bool, su
 					overBudget = true
 					break
 				}
-				e := s.single[ci]
+				e := s.single[ci].Online(s.offline)
 				e.Cost.Link = link
 				if e.Better(s.bestEval, tol) {
 					one := bitset.New(n)
@@ -206,7 +210,8 @@ type exactSearch struct {
 	tol        float64
 	budget     int
 	candidates []int
-	active     []bool      // active-peer mask (nil = everyone)
+	offline    int         // partners outside the active set
+	infCols    int         // of those, the columns the levels carry as +Inf
 	levels     []float64   // per-depth distance folds
 	terms      []float64   // per-depth term folds (nil for custom models)
 	suffix     [][]float64 // suffix-min term rows (nil when unavailable)
@@ -263,26 +268,8 @@ func (s *exactSearch) prunable(start, depth int) bool {
 	tcur := s.terms[depth*n : (depth+1)*n]
 	tsuf := s.suffix[start]
 	partial := 0.0
-	if s.active == nil {
-		for j := 0; j < n; j++ {
-			if j == s.i {
-				continue
-			}
-			t := tcur[j]
-			if tsuf[j] < t {
-				t = tsuf[j]
-			}
-			partial += t
-			if link+partial >= threshold {
-				return true
-			}
-		}
-		return false
-	}
-	// Masked: inactive partners carry +Inf term rows, so folding them
-	// would prune everything; they are simply not part of the sum.
 	for j := 0; j < n; j++ {
-		if j == s.i || !s.active[j] {
+		if j == s.i {
 			continue
 		}
 		t := tcur[j]
@@ -334,7 +321,7 @@ func (s *exactSearch) push(k, depth int) {
 func (s *exactSearch) evalFromTerms(terms []float64, degree int) Eval {
 	e := Eval{Cost: Cost{Link: s.alpha * float64(degree)}}
 	for j := 0; j < s.n; j++ {
-		if j == s.i || (s.active != nil && !s.active[j]) {
+		if j == s.i {
 			continue
 		}
 		t := terms[j]
@@ -353,7 +340,7 @@ func (s *exactSearch) evalFromTerms(terms []float64, degree int) Eval {
 // slow path for leaves (k = 0, or custom models / disconnected best,
 // where bounded evaluation is unsound).
 func (s *exactSearch) scoreLevel(depth, degree int) {
-	e := s.b.ev.peerEvalFromActive(s.levels[depth*s.n:(depth+1)*s.n], s.i, degree, s.active)
+	e := s.b.ev.peerEvalFrom(s.levels[depth*s.n:(depth+1)*s.n], s.i, degree).Online(s.infCols)
 	if e.Better(s.bestEval, s.tol) {
 		s.setBest(s.cur.Clone(), e)
 	}
@@ -379,47 +366,24 @@ func (s *exactSearch) leaf(k, depth int) {
 	row := s.row
 	e := Eval{Cost: Cost{Link: s.alpha * float64(depth+1)}}
 	threshold := s.threshold
-	if s.active == nil {
-		for j := 0; j < n; j++ {
-			if j == s.i {
-				continue
-			}
-			v := wk + rk[j]
-			if cur[j] < v {
-				v = cur[j]
-			}
-			t := v
-			if stretch {
-				t = v / row[j]
-			}
-			// +Inf terms trip the threshold exit, so unreachable pairs need
-			// no separate check.
-			e.Cost.Term += t
-			e.FiniteTerm += t
-			if e.Cost.Link+e.FiniteTerm >= threshold {
-				return
-			}
+	for j := 0; j < n; j++ {
+		if j == s.i {
+			continue
 		}
-	} else {
-		// Masked: inactive partners are skipped outright — their +Inf
-		// terms must not trip the threshold, they are not in the subgame.
-		for j := 0; j < n; j++ {
-			if j == s.i || !s.active[j] {
-				continue
-			}
-			v := wk + rk[j]
-			if cur[j] < v {
-				v = cur[j]
-			}
-			t := v
-			if stretch {
-				t = v / row[j]
-			}
-			e.Cost.Term += t
-			e.FiniteTerm += t
-			if e.Cost.Link+e.FiniteTerm >= threshold {
-				return
-			}
+		v := wk + rk[j]
+		if cur[j] < v {
+			v = cur[j]
+		}
+		t := v
+		if stretch {
+			t = v / row[j]
+		}
+		// +Inf terms trip the threshold exit, so unreachable pairs need
+		// no separate check.
+		e.Cost.Term += t
+		e.FiniteTerm += t
+		if e.Cost.Link+e.FiniteTerm >= threshold {
+			return
 		}
 	}
 	if e.Better(s.bestEval, s.tol) {

@@ -141,6 +141,14 @@ func (b *DeviationBatch) LocalStep(cur Strategy, curEval Eval, tol float64) (mov
 			ls.surv = append(ls.surv, h.local.surv...)
 		}
 		slices.SortFunc(ls.surv, func(a, b localCand) int { return cmp.Compare(a.idx, b.idx) })
+		// Any one helper may score every survivor of a repeat of this
+		// step: size each list for that now, so the repeat allocates
+		// nothing.
+		for _, h := range pl.helpers {
+			if cap(h.local.surv) < len(ls.surv) {
+				h.local.surv = make([]localCand, 0, len(ls.surv))
+			}
+		}
 	} else {
 		t.score(ls, 0, total)
 	}
@@ -235,9 +243,10 @@ type localTask struct {
 	chunk     int
 }
 
+func (t *localTask) prepare(ev *Evaluator) { ev.local.ensure(len(t.m1)) }
+
 func (t *localTask) runChunk(ev *Evaluator, c int) {
 	lo := c * t.chunk
-	ev.local.ensure(len(t.m1))
 	t.score(&ev.local, lo, min(lo+t.chunk, t.off[len(t.off)-1]))
 }
 

@@ -87,9 +87,11 @@ func NewPool(inst *Instance, workers int) *Pool {
 // Workers returns the pool's concurrency width.
 func (pl *Pool) Workers() int { return pl.width }
 
-// fanTask is one kind of chunked pool work: runChunk does chunk c on
-// evaluator ev (the caller's or a helper's).
+// fanTask is one kind of chunked pool work: prepare sizes evaluator
+// ev's scratch for any chunk of the task, and runChunk does chunk c on
+// ev (the caller's or a helper's).
 type fanTask interface {
+	prepare(ev *Evaluator)
 	runChunk(ev *Evaluator, c int)
 }
 
@@ -108,11 +110,17 @@ type fanJob struct {
 // so a panic in the caller's share never leaves helpers running on a
 // pool that gets reused. No more helpers start than there are chunks
 // beyond the caller's first.
+//
+// Which evaluator claims which chunk varies from call to call, so
+// every started evaluator prepares for the task before it claims
+// (whether or not a chunk is left for it), and the drain levels the
+// scratch that grows with the source settled (see levelScratch). A
+// repeat of a fan-out then allocates nothing on any evaluator.
 func (pl *Pool) fan(caller *Evaluator, t fanTask, chunks int) {
 	j := &pl.job
 	j.task, j.chunks = t, chunks
 	j.next.Store(0)
-	defer pl.drain()
+	defer pl.drain(caller)
 	for _, run := range pl.run[:min(len(pl.run), chunks-1)] {
 		if pl.budgeted && !TryAcquireCore() {
 			break
@@ -124,12 +132,35 @@ func (pl *Pool) fan(caller *Evaluator, t fanTask, chunks int) {
 }
 
 // drain stops further claims (a no-op after a normal return, where
-// every chunk is claimed) and waits for the helpers.
-func (pl *Pool) drain() {
+// every chunk is claimed), waits for the helpers and levels their
+// scratch with the caller's.
+func (pl *Pool) drain(caller *Evaluator) {
 	j := &pl.job
 	j.next.Store(int64(j.chunks))
 	j.wg.Wait()
 	j.task = nil
+	for _, h := range pl.helpers {
+		caller.levelScratch(h)
+	}
+	for _, h := range pl.helpers {
+		h.levelScratch(caller)
+	}
+}
+
+// levelScratch grows ev's per-source SSSP scratch — the Dial buckets,
+// whose peak lengths depend on the source — to at least o's capacities.
+// Leveling every evaluator of a fan-out to the largest makes each one
+// fit any source the fan-out settled, whichever evaluator claims it
+// next time.
+func (ev *Evaluator) levelScratch(o *Evaluator) {
+	if len(ev.dial.buckets) < len(o.dial.buckets) {
+		ev.dial.ensure(len(o.dial.buckets) - 1)
+	}
+	for b, ob := range o.dial.buckets {
+		if cap(ev.dial.buckets[b]) < cap(ob) {
+			ev.dial.buckets[b] = make([]int32, 0, cap(ob))
+		}
+	}
 }
 
 // helper is one helper's run of the current fan-out on evaluator ev. A
@@ -143,9 +174,11 @@ func (pl *Pool) helper(ev *Evaluator) {
 	pl.work(ev)
 }
 
-// work claims and runs chunks of the current fan-out until none is left.
+// work prepares ev for the current fan-out, then claims and runs its
+// chunks until none is left.
 func (pl *Pool) work(ev *Evaluator) {
 	j := &pl.job
+	j.task.prepare(ev)
 	for {
 		c := int(j.next.Add(1)) - 1
 		if c >= j.chunks {
@@ -165,8 +198,9 @@ type rowTask struct {
 	chunk int
 }
 
+func (t *rowTask) prepare(ev *Evaluator) { ev.preparePass(&t.pass) }
+
 func (t *rowTask) runChunk(ev *Evaluator, c int) {
-	ev.preparePass(&t.pass)
 	lo := c * t.chunk
 	ev.settleChunk(t.srcs[lo:min(lo+t.chunk, len(t.srcs))], t.dst, t.pass.multi)
 }

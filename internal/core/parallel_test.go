@@ -245,6 +245,8 @@ type panicTask struct {
 	ran    atomic.Int64
 }
 
+func (t *panicTask) prepare(*Evaluator) {}
+
 func (t *panicTask) runChunk(ev *Evaluator, c int) {
 	if ev == t.caller {
 		panic("caller chunk")

@@ -20,7 +20,12 @@ type heapEntry struct {
 }
 
 // reset prepares the heap for a run over n vertices, keeping capacity.
+// The heap never holds more than n entries (decrease-key updates in
+// place), so the first reset sizes it for every later run.
 func (h *vertexHeap) reset(n int) {
+	if cap(h.items) < n {
+		h.items = make([]heapEntry, 0, n)
+	}
 	h.items = h.items[:0]
 	if cap(h.pos) < n {
 		h.pos = make([]int32, n)

@@ -10,9 +10,8 @@
 // the exported tables match a sequential run byte for byte.
 //
 // The runners register as native entries in the internal/scenario
-// catalog at init; this package's Run/RunAll/IDs/Describe are thin
-// wrappers kept for compatibility, and the scenario spec engine is the
-// canonical way to execute them (a Spec with "experiment": "<id>").
+// catalog at init, and the scenario spec engine executes them
+// (scenario.Run, scenario.RunAll, or a Spec with "experiment": "<id>").
 package experiments
 
 import (
@@ -31,8 +30,7 @@ type Params = scenario.Params
 type Runner func(Params) (*export.Table, error)
 
 // register declares the 13 paper runners as native scenario-catalog
-// entries. The catalog is the registry of record; everything in this
-// package delegates to it.
+// entries. The catalog is the registry of record.
 func init() {
 	for _, e := range []struct {
 		id     string
@@ -55,21 +53,4 @@ func init() {
 	} {
 		scenario.RegisterNative(e.id, e.desc, scenario.Native(e.runner))
 	}
-}
-
-// IDs returns the experiment identifiers in sorted order.
-func IDs() []string { return scenario.IDs() }
-
-// Describe returns the one-line description of an experiment.
-func Describe(id string) (string, error) { return scenario.Describe(id) }
-
-// Run executes the experiment with the given ID through the scenario
-// spec engine.
-func Run(id string, p Params) (*export.Table, error) { return scenario.Run(id, p) }
-
-// RunAll executes the given experiments concurrently and returns their
-// tables in input order; see scenario.RunAll for the determinism and
-// budget-splitting contract.
-func RunAll(ids []string, p Params, parallelism int) ([]*export.Table, error) {
-	return scenario.RunAll(ids, p, parallelism)
 }

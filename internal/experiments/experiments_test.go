@@ -4,23 +4,25 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"selfishnet/internal/scenario"
 )
 
 func TestRegistryComplete(t *testing.T) {
-	ids := IDs()
+	ids := scenario.IDs()
 	if len(ids) != 13 {
 		t.Fatalf("got %d experiments: %v", len(ids), ids)
 	}
 	for _, id := range ids {
-		desc, err := Describe(id)
+		desc, err := scenario.Describe(id)
 		if err != nil || desc == "" {
-			t.Errorf("Describe(%q) = %q, %v", id, desc, err)
+			t.Errorf("scenario.Describe(%q) = %q, %v", id, desc, err)
 		}
 	}
-	if _, err := Describe("nope"); err == nil {
+	if _, err := scenario.Describe("nope"); err == nil {
 		t.Error("unknown id should error")
 	}
-	if _, err := Run("nope", Params{}); err == nil {
+	if _, err := scenario.Run("nope", Params{}); err == nil {
 		t.Error("unknown id should error")
 	}
 }
@@ -28,11 +30,11 @@ func TestRegistryComplete(t *testing.T) {
 func TestAllExperimentsQuick(t *testing.T) {
 	// Every experiment must run in quick mode and produce a well-formed
 	// table (headers, ≥1 row, consistent widths).
-	for _, id := range IDs() {
+	for _, id := range scenario.IDs() {
 		id := id
 		t.Run(id, func(t *testing.T) {
 			t.Parallel()
-			tb, err := Run(id, Params{Quick: true, Seed: 2})
+			tb, err := scenario.Run(id, Params{Quick: true, Seed: 2})
 			if err != nil {
 				t.Fatalf("%s: %v", id, err)
 			}
